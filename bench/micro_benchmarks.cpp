@@ -13,6 +13,8 @@
 #include "interp/interpreter.h"
 #include "ir/clone.h"
 #include "ir/module.h"
+#include "ir/parser.h"
+#include "ir/printer.h"
 #include "passes/pass.h"
 #include "rl/dqn.h"
 #include "target/mca_model.h"
@@ -48,6 +50,23 @@ void BM_CloneModule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CloneModule);
+
+// The serve path's -Oz memo hit: one print of the request (text equality)
+// and, when -Oz wins, one parse of the stored output.
+void BM_PrintModule(benchmark::State& state) {
+  auto m = benchProgram();
+  for (auto _ : state) benchmark::DoNotOptimize(printModule(*m));
+}
+BENCHMARK(BM_PrintModule);
+
+void BM_ParseModule(benchmark::State& state) {
+  const std::string text = printModule(*benchProgram());
+  for (auto _ : state) {
+    auto m = parseModule(text);
+    benchmark::DoNotOptimize(m.get());
+  }
+}
+BENCHMARK(BM_ParseModule);
 
 void BM_SinglePass(benchmark::State& state, const char* pass) {
   auto base = benchProgram();

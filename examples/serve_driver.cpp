@@ -424,6 +424,9 @@ int main(int argc, char** argv) {
     std::printf("batches=%zu\n", bstats.batches);
     std::printf("batched_calls=%zu\n", bstats.batched_calls);
     std::printf("max_batch=%zu\n", bstats.max_batch);
+    std::printf("oz_memo_hits=%zu\n", stats.oz_memo_hits);
+    std::printf("oz_memo_misses=%zu\n", stats.oz_memo_misses);
+    std::printf("oz_memo_bytes=%zu\n", stats.oz_memo_bytes);
     if (online != nullptr) {
       std::printf("policy_version=%llu\n",
                   static_cast<unsigned long long>(ostats.current_version));
@@ -464,12 +467,14 @@ int main(int argc, char** argv) {
         "deadline_expired=%zu\n"
         "[serve] latency p50 %.1fms p99 %.1fms max %.1fms, "
         "max overshoot %.1fms, violations=%zu\n"
-        "[serve] batching: %zu calls in %zu batches (%zu batched, max %zu)\n",
+        "[serve] batching: %zu calls in %zu batches (%zu batched, max %zu)\n"
+        "[serve] -Oz memo: hits=%zu misses=%zu bytes=%zu\n",
         requests, ok, rejected, shut_down, level_counts[0], level_counts[1],
         level_counts[2], level_counts[3], stats.faults, stats.retries, trips,
         stats.deadline_expired, p50, p99, stats.max_latency_ms,
         max_overshoot_ms, violations, bstats.calls, bstats.batches,
-        bstats.batched_calls, bstats.max_batch);
+        bstats.batched_calls, bstats.max_batch, stats.oz_memo_hits,
+        stats.oz_memo_misses, stats.oz_memo_bytes);
     if (online != nullptr) {
       std::printf(
           "[serve] online: v%llu promotions=%zu rejections=%zu "

@@ -104,11 +104,16 @@ Embedding PhaseOrderEnv::embedWorking() {
   return embed_cache_.embedKeyed(embed_key_, *working_, embedder_);
 }
 
+SandboxConfig sandboxConfigFor(const EnvConfig& config) {
+  SandboxConfig sc = config.sandbox;
+  sc.verify = config.verify_actions;
+  sc.contracts = config.check_contracts;
+  sc.oracle = config.oracle_actions;
+  return sc;
+}
+
 SandboxConfig PhaseOrderEnv::effectiveSandboxConfig() {
-  SandboxConfig sc = config_.sandbox;
-  sc.verify = config_.verify_actions;
-  sc.contracts = config_.check_contracts;
-  sc.oracle = config_.oracle_actions;
+  SandboxConfig sc = sandboxConfigFor(config_);
   // Between-action work in this environment is read-only (state extraction,
   // reward models) and every restore path clears or self-invalidates the
   // affected caches, so the verifier skip cache and the armed boundary
@@ -218,6 +223,21 @@ Module& PhaseOrderEnv::workingModule() {
   // bump the stamp so the embedding-key memo never serves a stale hash.
   working_->bumpContentStamp();
   return *working_;
+}
+
+const Module& PhaseOrderEnv::currentModule() const {
+  POSETRL_CHECK(working_ != nullptr, "no working module before reset()");
+  return *working_;
+}
+
+std::uint64_t PhaseOrderEnv::programHash() {
+  if (!pristine_embed_key_valid_) {
+    // Structural hashes agree across clones, so hashing the pristine copy
+    // gives the working module's pristine key too.
+    pristine_embed_key_ = EmbedCache::moduleHash(*pristine_);
+    pristine_embed_key_valid_ = true;
+  }
+  return pristine_embed_key_;
 }
 
 }  // namespace posetrl

@@ -97,6 +97,12 @@ struct EnvConfig {
   EmbedCacheConfig embed_cache;
 };
 
+/// \p config.sandbox with its verify/contracts/oracle switches slaved to
+/// verify_actions / check_contracts / oracle_actions. Every sandboxed run
+/// under an EnvConfig (environment steps, the serve path's -Oz rung) starts
+/// from this.
+SandboxConfig sandboxConfigFor(const EnvConfig& config);
+
 /// Phase-ordering environment over one program.
 class PhaseOrderEnv {
  public:
@@ -134,6 +140,14 @@ class PhaseOrderEnv {
   double baseThroughput() const { return base_throughput_; }
   /// The working module (e.g. to measure or print after a rollout).
   Module& workingModule();
+  /// Read-only view of the working module. Unlike workingModule() it does
+  /// not bump the content stamp, so capturing or cloning through it keeps
+  /// the stamp-keyed memos warm.
+  const Module& currentModule() const;
+  /// moduleContentHash of the program the environment was built on,
+  /// computed at most once (the first reset() computes it anyway as the
+  /// pristine embedding-cache key).
+  std::uint64_t programHash();
 
   // --- fault tolerance ---
   /// Actions currently quarantined on this program (true = masked); pass to

@@ -238,6 +238,11 @@ std::unique_ptr<Module> cloneModule(const Module& src) {
             i, mapOperandCrossModule(*dst, vmap, inst->operand(i)));
       }
     }
+    // The names were copied verbatim, so the counters must be too (the
+    // addBlock calls above advanced next_block_ by the block count only):
+    // passes run on the clone then mint names the source never used.
+    nf->next_value_ = f->next_value_;
+    nf->next_block_ = f->next_block_;
   }
   return dst;
 }

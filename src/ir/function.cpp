@@ -1,5 +1,8 @@
 #include "ir/function.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "ir/module.h"
 
 namespace posetrl {
@@ -90,6 +93,44 @@ std::string Function::nextValueName() {
 
 std::string Function::uniqueBlockName(const std::string& base) {
   return base + "." + std::to_string(next_block_++);
+}
+
+namespace {
+
+/// The number spelled by name[pos..], if that tail is all decimal digits.
+/// Tails too long for a counter to ever reach are ignored.
+std::optional<std::uint64_t> decimalTail(const std::string& name,
+                                         std::size_t pos) {
+  if (pos >= name.size() || name.size() - pos > 18) return std::nullopt;
+  std::uint64_t n = 0;
+  for (std::size_t i = pos; i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return std::nullopt;
+    n = n * 10 + static_cast<std::uint64_t>(name[i] - '0');
+  }
+  return n;
+}
+
+}  // namespace
+
+void Function::resetNameCounters() {
+  next_value_ = 0;
+  next_block_ = 0;
+  const auto reserveValue = [this](const std::string& name) {
+    if (name.empty() || name[0] != 't') return;
+    if (const auto n = decimalTail(name, 1)) {
+      next_value_ = std::max(next_value_, *n + 1);
+    }
+  };
+  for (const auto& a : args_) reserveValue(a->name());
+  for (const auto& bb : blocks_) {
+    const std::size_t dot = bb->name().rfind('.');
+    if (dot != std::string::npos) {
+      if (const auto n = decimalTail(bb->name(), dot + 1)) {
+        next_block_ = std::max(next_block_, *n + 1);
+      }
+    }
+    for (const auto& inst : bb->insts()) reserveValue(inst->name());
+  }
 }
 
 std::size_t Function::instructionCount() const {

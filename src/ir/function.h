@@ -109,6 +109,17 @@ class Function : public Value {
   /// Fresh block name derived from \p base.
   std::string uniqueBlockName(const std::string& base);
 
+  /// Re-derives the naming counters from the body: one past the highest
+  /// "tN" value name and the highest ".N" block-name suffix. The parser
+  /// calls this after reading a body, since the text carries names but not
+  /// counters.
+  ///
+  /// Naming-counter invariant: next_value_ > N for every value named "tN"
+  /// and next_block_ > N for every block named "<base>.N", so fresh names
+  /// never collide with existing ones. The builder, the parser, cloneModule
+  /// and snapshot restore all maintain it.
+  void resetNameCounters();
+
   /// Total instruction count across all blocks.
   std::size_t instructionCount() const;
 
@@ -119,6 +130,8 @@ class Function : public Value {
   /// Snapshot restore rebuilds blocks_/args_ and reinstates the name
   /// counters in place (ir/snapshot.cpp).
   friend class ModuleSnapshot;
+  /// Copies the name counters along with the body.
+  friend std::unique_ptr<Module> cloneModule(const Module& src);
 
   Module* parent_;
   Linkage linkage_ = Linkage::External;

@@ -248,6 +248,9 @@ class Parser {
     expectWord("global");
     expect('@');
     const std::string name = parseWord();
+    if (module_->getGlobal(name) != nullptr) {
+      fail("duplicate global name @" + name);
+    }
     expect(':');
     Type* vt = parseType();
     expect('=');
@@ -337,10 +340,19 @@ class Parser {
     const std::string name = parseWord();
     expect(':');
     Type* fty = parseType();
-    Function* f = module_->createFunction(name, fty,
-                                          Function::Linkage::External);
+    Function* f = createFunction(name, fty, Function::Linkage::External);
     if (tryWord("attrs")) f->setRawAttrs(parseAttrList());
     if (tryWord("intrinsic")) f->setIntrinsicId(parseIntrinsicId());
+  }
+
+  /// Module::createFunction aborts on a duplicate name; text is untrusted
+  /// input, so a duplicate is a parse error instead.
+  Function* createFunction(const std::string& name, Type* fty,
+                           Function::Linkage linkage) {
+    if (module_->getFunction(name) != nullptr) {
+      fail("duplicate function name @" + name);
+    }
+    return module_->createFunction(name, fty, linkage);
   }
 
   void parseDefine() {
@@ -356,11 +368,12 @@ class Parser {
     } else if (linkage != "external") {
       fail("bad linkage '" + linkage + "'");
     }
-    Function* f = module_->createFunction(name, fty, lk);
+    Function* f = createFunction(name, fty, lk);
     if (tryWord("attrs")) f->setRawAttrs(parseAttrList());
     expect('{');
     parseBody(f);
     expect('}');
+    f->resetNameCounters();
   }
 
   // ---- function bodies ----

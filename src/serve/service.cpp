@@ -6,6 +6,7 @@
 #include "faults/sandbox.h"
 #include "ir/clone.h"
 #include "ir/module.h"
+#include "ir/parser.h"
 #include "support/error.h"
 #include "target/size_model.h"
 
@@ -285,9 +286,11 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   r.base_size_bytes = env.baseSize();
 
   // Best-prefix-so-far tracking; the empty prefix (input as-is) is the
-  // starting point, so a rollout that never improves degrades cleanly.
+  // starting point, so a rollout that never improves degrades cleanly. An
+  // improvement only captures a flat snapshot; the one clone happens if the
+  // prefix is actually returned.
   double best_size = env.currentSize();
-  std::unique_ptr<Module> best_module;
+  ModuleSnapshot best_snapshot;
   std::vector<std::size_t> best_actions;
   std::vector<std::size_t> taken;
 
@@ -409,7 +412,7 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
     taken.push_back(action);
     if (env.currentSize() < best_size) {
       best_size = env.currentSize();
-      best_module = cloneModule(env.workingModule());
+      best_snapshot.capture(env.currentModule());
       best_actions = taken;
     }
   }
@@ -418,12 +421,14 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   std::unique_ptr<Module> candidate;
   double candidate_size = 0.0;
   if (done && !rollout_cut) {
-    candidate = cloneModule(env.workingModule());
+    candidate = cloneModule(env.currentModule());
     candidate_size = env.currentSize();
     r.action_sequence = taken;
     r.level = ServiceLevel::FullRollout;
-  } else if (best_module != nullptr) {
-    candidate = std::move(best_module);
+  } else if (best_snapshot.valid()) {
+    // The rollout is over, so the working module can be rewound in place.
+    best_snapshot.restoreInto(env.workingModule());
+    candidate = cloneModule(env.currentModule());
     candidate_size = best_size;
     r.action_sequence = best_actions;
     r.level = ServiceLevel::BestPrefix;
@@ -432,35 +437,52 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
 
   // Ladder rung 3: stock -Oz, inside the full request deadline, sandboxed so
   // even a misbehaving stock pipeline degrades to identity instead of
-  // crashing the worker.
+  // crashing the worker. A repeated input is served from the memo: its
+  // stored output is parsed only when it beats the rollout.
   const bool want_oz = config_.verify_against_oz || candidate == nullptr;
   if (want_oz && !deadline.expired()) {
-    std::unique_ptr<Module> oz = cloneModule(program);
-    SandboxConfig oz_sc = env_cfg.sandbox;
-    oz_sc.deadline = deadline;
-    oz_sc.verify = env_cfg.verify_actions;
-    oz_sc.oracle = env_cfg.oracle_actions;
-    const SandboxOutcome out = runActionSandboxed(oz, ozPassNames(), oz_sc);
-    if (out.ok) {
+    const std::uint64_t key = env.programHash();
+    const OzMemo::Probe probe = oz_memo_.lookup(key, program);
+    std::unique_ptr<Module> oz;
+    if (probe.hit != nullptr) {
       r.oz_verified = true;
-      r.oz_size_bytes = size_model.objectBytes(*oz);
-      if (candidate == nullptr || r.oz_size_bytes < candidate_size) {
-        if (candidate != nullptr) {
-          r.degraded_reason = "stock -Oz beat the rollout output";
-        } else if (r.degraded_reason.empty()) {
-          r.degraded_reason = "rollout produced no candidate";
-        }
-        candidate = std::move(oz);
-        candidate_size = r.oz_size_bytes;
-        r.action_sequence.clear();
-        r.level = ServiceLevel::OzPipeline;
-      }
+      r.oz_size_bytes = probe.hit->size_bytes;
     } else {
-      onFault(out.fault);
-      if (candidate == nullptr && r.degraded_reason.empty()) {
-        r.degraded_reason = std::string("-Oz rung faulted: ") +
-                            faultKindName(out.fault.kind);
+      oz = cloneModule(program);
+      // Re-derive the naming counters from the names, as the parser does:
+      // the output, fresh names included, then depends on the printed input
+      // alone, which is what the memo compares.
+      for (const auto& f : oz->functions()) f->resetNameCounters();
+      SandboxConfig oz_sc = sandboxConfigFor(env_cfg);
+      oz_sc.deadline = deadline;
+      const SandboxOutcome out = runActionSandboxed(oz, ozPassNames(), oz_sc);
+      if (out.ok) {
+        r.oz_verified = true;
+        r.oz_size_bytes = size_model.objectBytes(*oz);
+        if (probe.admissible) {
+          oz_memo_.admit(key, program, *oz, r.oz_size_bytes, size_model);
+        }
+      } else {
+        onFault(out.fault);
+        if (candidate == nullptr && r.degraded_reason.empty()) {
+          r.degraded_reason = std::string("-Oz rung faulted: ") +
+                              faultKindName(out.fault.kind);
+        }
       }
+    }
+    if (r.oz_verified &&
+        (candidate == nullptr || r.oz_size_bytes < candidate_size)) {
+      if (candidate != nullptr) {
+        r.degraded_reason = "stock -Oz beat the rollout output";
+      } else if (r.degraded_reason.empty()) {
+        r.degraded_reason = "rollout produced no candidate";
+      }
+      // Admission proved the stored text parses back to this size.
+      candidate = oz != nullptr ? std::move(oz)
+                                : parseModule(probe.hit->output_text);
+      candidate_size = r.oz_size_bytes;
+      r.action_sequence.clear();
+      r.level = ServiceLevel::OzPipeline;
     }
   }
 
@@ -548,8 +570,16 @@ std::size_t CompileService::queueDepth() const {
 }
 
 ServiceStats CompileService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  ServiceStats s;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    s = stats_;
+  }
+  const OzMemo::Stats memo = oz_memo_.stats();
+  s.oz_memo_hits = memo.hits;
+  s.oz_memo_misses = memo.misses;
+  s.oz_memo_bytes = memo.bytes;
+  return s;
 }
 
 }  // namespace posetrl

@@ -26,7 +26,10 @@
 ///      OzPipeline   — the stock -Oz pipeline beat (or replaced) the rollout;
 ///      Identity     — nothing could be done in time; input returned as-is.
 ///    Whenever the -Oz rung completes (`oz_verified`), the response is
-///    guaranteed no worse than stock -Oz by modeled size.
+///    guaranteed no worse than stock -Oz by modeled size. The rung is
+///    memoized per service (serve/oz_memo.h): a repeated input whose printed
+///    text equals a stored one reuses that run's output and size instead of
+///    re-running the pipeline, and only completed runs are ever stored.
 ///
 /// With an OnlineLearner attached (ServeConfig::online), the service also
 /// closes the serve -> train loop: each request pins the current policy
@@ -61,6 +64,7 @@
 #include "online/online_learner.h"
 #include "rl/dqn.h"
 #include "serve/circuit_breaker.h"
+#include "serve/oz_memo.h"
 #include "support/deadline.h"
 #include "support/rng.h"
 
@@ -169,6 +173,11 @@ struct ServiceStats {
   std::size_t deadline_expired = 0;
   double total_latency_ms = 0.0;
   double max_latency_ms = 0.0;
+  /// -Oz rung memo (serve/oz_memo.h): lookups served from it, lookups
+  /// that ran the pipeline, and the stored text in bytes.
+  std::size_t oz_memo_hits = 0;
+  std::size_t oz_memo_misses = 0;
+  std::size_t oz_memo_bytes = 0;
 };
 
 /// Thread-pool policy server over one shared trained agent.
@@ -235,6 +244,7 @@ class CompileService {
   std::vector<SubSequence> actions_;
   ServeConfig config_;
   BreakerBank breakers_;
+  OzMemo oz_memo_;
   InferenceBatcher batcher_;
   std::atomic<bool> batching_{false};
 

@@ -308,6 +308,25 @@ TEST(ParserTest, RejectsUnknownValue) {
   EXPECT_NE(err.find("nope"), std::string::npos);
 }
 
+TEST(ParserTest, RejectsDuplicateSymbolsInsteadOfAborting) {
+  const char* kFn =
+      "define @f : fn() -> i64 internal {\n"
+      "block e.0:\n"
+      "  ret i64 0\n"
+      "}\n";
+  const std::string duplicates[] = {
+      std::string("module \"x\"\n") + kFn + kFn,
+      "module \"x\"\n"
+      "global @g : i64 = zero, internal\n"
+      "global @g : i64 = zero, internal\n",
+  };
+  for (const std::string& text : duplicates) {
+    std::string err;
+    EXPECT_EQ(parseModule(text, &err), nullptr);
+    EXPECT_NE(err.find("duplicate"), std::string::npos) << err;
+  }
+}
+
 TEST(CloneTest, ModuleCloneIsDeepAndEqual) {
   std::string err;
   auto m1 = parseModule(kRichModule, &err);

@@ -65,6 +65,45 @@ TEST(GeneratorProperty, ProgramsRoundTripThroughParser) {
   }
 }
 
+/// Names minted by passes ("tN", "label.N") come from per-function counters
+/// that a printed module does not carry: the clone must copy them and the
+/// parser must re-derive them, or -Oz on the copy mints names that already
+/// exist and its output no longer parses ("redefinition of %t1").
+TEST(GeneratorProperty, OzOutputRoundTripsAfterCloneOrParse) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    auto m = generateProgram(specForSeed(seed));
+    std::vector<std::unique_ptr<Module>> copies;
+    copies.push_back(cloneModule(*m));
+    copies.push_back(parseModule(printModule(*m)));
+    ASSERT_NE(copies.back(), nullptr);
+    copies.push_back(cloneModule(*copies.back()));
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      runPassSequence(*copies[i], ozPassNames(), /*verify_each=*/false);
+      const std::string printed = printModule(*copies[i]);
+      std::string err;
+      auto reparsed = parseModule(printed, &err);
+      ASSERT_NE(reparsed, nullptr) << "seed " << seed << " copy " << i << ": "
+                                   << err;
+      EXPECT_EQ(printModule(*reparsed), printed);
+    }
+  }
+}
+
+TEST(GeneratorProperty, ParserRederivesNameCounters) {
+  auto m = generateProgram(specForSeed(3));
+  auto parsed = parseModule(printModule(*m));
+  ASSERT_NE(parsed, nullptr);
+  for (const auto& f : parsed->functions()) {
+    if (f->isDeclaration()) continue;
+    const std::string fresh_value = f->nextValueName();
+    for (const auto& bb : f->blocks()) {
+      for (const auto& inst : bb->insts()) {
+        EXPECT_NE(inst->name(), fresh_value) << "in @" << f->name();
+      }
+    }
+  }
+}
+
 /// One pass applied to one generated program.
 class SinglePassProperty
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};

@@ -24,10 +24,13 @@
 #include "faults/sandbox.h"
 #include "ir/clone.h"
 #include "ir/module.h"
+#include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "lint/oracle.h"
+#include "passes/pass.h"
 #include "serve/circuit_breaker.h"
+#include "serve/oz_memo.h"
 #include "serve/service.h"
 #include "support/deadline.h"
 #include "support/fuel.h"
@@ -613,6 +616,276 @@ TEST(CompileServiceTest, SharedBreakersTripAcrossRequests) {
   EXPECT_EQ(results[3].level, ServiceLevel::OzPipeline);
   EXPECT_EQ(service.breakers().totalTrips(), 1u);
   EXPECT_TRUE(service.breakers().blockedMask()[0]);
+}
+
+// --- -Oz rung --------------------------------------------------------------
+
+TEST(OzRungSandboxTest, FollowsAllThreeEnvSwitches) {
+  for (int bits = 0; bits < 8; ++bits) {
+    EnvConfig cfg;
+    cfg.verify_actions = (bits & 1) != 0;
+    cfg.check_contracts = (bits & 2) != 0;
+    cfg.oracle_actions = (bits & 4) != 0;
+    // The raw sandbox switches disagree; the slaved EnvConfig ones win.
+    cfg.sandbox.verify = !cfg.verify_actions;
+    cfg.sandbox.contracts = !cfg.check_contracts;
+    cfg.sandbox.oracle = !cfg.oracle_actions;
+    cfg.sandbox.pass_fuel = 1234;
+    const SandboxConfig sc = sandboxConfigFor(cfg);
+    EXPECT_EQ(sc.verify, cfg.verify_actions) << bits;
+    EXPECT_EQ(sc.contracts, cfg.check_contracts) << bits;
+    EXPECT_EQ(sc.oracle, cfg.oracle_actions) << bits;
+    EXPECT_EQ(sc.pass_fuel, 1234u);  // budgets pass through untouched
+  }
+}
+
+/// A service whose rollout never produces a candidate: its one action
+/// always faults and has no retries, so every request that completes the
+/// -Oz rung returns -Oz's output (OzPipeline), the thing the memo stores.
+struct OzOnlyService {
+  std::vector<SubSequence> actions{{1, {"fault-throw"}}};
+  DoubleDqn agent;
+  CompileService service;
+
+  static ServeConfig config() {
+    ServeConfig cfg;
+    cfg.env.episode_length = 2;
+    cfg.max_retries = 0;
+    cfg.breaker.failure_threshold = 1'000'000;
+    cfg.start_workers = false;
+    return cfg;
+  }
+  static DqnConfig agentConfig() {
+    registerFaultInjectionPasses();
+    DqnConfig acfg;
+    acfg.num_actions = 1;
+    return acfg;
+  }
+  explicit OzOnlyService(const ServeConfig& cfg = config())
+      : agent(agentConfig()), service(agent, actions, cfg) {}
+};
+
+/// -Oz output of \p program as the rung computes it, and its modeled size.
+std::unique_ptr<Module> ozOf(const Module& program, double* size) {
+  auto oz = cloneModule(program);
+  runPassSequence(*oz, ozPassNames(), /*verify_each=*/false);
+  *size = SizeModel(TargetInfo::forArch(TargetArch::X86_64)).objectBytes(*oz);
+  return oz;
+}
+
+TEST(OzMemoServiceTest, HitIsPrintAndSizeIdenticalToMiss) {
+  OzOnlyService s;
+  auto program = tinyProgram(501);
+  const ServeResult first = s.service.compile(*program, Deadline::never());
+  EXPECT_EQ(s.service.stats().oz_memo_bytes, 0u);  // first sighting
+  const ServeResult second = s.service.compile(*program, Deadline::never());
+  EXPECT_GT(s.service.stats().oz_memo_bytes, 0u);  // admitted on the second
+  const ServeResult third = s.service.compile(*program, Deadline::never());
+  ServiceStats stats = s.service.stats();
+  EXPECT_EQ(stats.oz_memo_hits, 1u);
+  EXPECT_EQ(stats.oz_memo_misses, 2u);
+
+  for (const ServeResult* r : {&first, &second, &third}) {
+    ASSERT_EQ(r->level, ServiceLevel::OzPipeline) << r->degraded_reason;
+    ASSERT_TRUE(r->oz_verified);
+    ASSERT_NE(r->optimized, nullptr);
+    EXPECT_TRUE(verifyModule(*r->optimized).ok());
+  }
+  const std::string miss_text = printModule(*first.optimized);
+  EXPECT_EQ(printModule(*second.optimized), miss_text);
+  EXPECT_EQ(printModule(*third.optimized), miss_text);
+  EXPECT_EQ(third.size_bytes, first.size_bytes);
+  EXPECT_EQ(third.oz_size_bytes, first.oz_size_bytes);
+  // Served -Oz output round-trips through the printer and the parser.
+  auto reparsed = parseModule(miss_text);
+  ASSERT_NE(reparsed, nullptr);
+  EXPECT_EQ(printModule(*reparsed), miss_text);
+
+  // A different module object with the same text hits and gets the same
+  // output: the rung's output depends on the printed input only.
+  auto copy = parseModule(printModule(*program));
+  ASSERT_NE(copy, nullptr);
+  const ServeResult fourth = s.service.compile(*copy, Deadline::never());
+  stats = s.service.stats();
+  EXPECT_EQ(stats.oz_memo_hits, 2u);
+  ASSERT_NE(fourth.optimized, nullptr);
+  EXPECT_EQ(printModule(*fourth.optimized), miss_text);
+}
+
+TEST(OzMemoServiceTest, SingleUseTrafficStoresAndPrintsNothing) {
+  OzOnlyService s;
+  std::vector<std::unique_ptr<Module>> programs;
+  for (std::uint64_t seed = 510; seed < 514; ++seed) {
+    programs.push_back(tinyProgram(seed));
+  }
+  const std::uint64_t prints = printModuleCallCount();
+  for (const auto& program : programs) {
+    const ServeResult r = s.service.compile(*program, Deadline::never());
+    EXPECT_EQ(r.level, ServiceLevel::OzPipeline) << r.degraded_reason;
+  }
+  EXPECT_EQ(printModuleCallCount(), prints);
+  const ServiceStats stats = s.service.stats();
+  EXPECT_EQ(stats.oz_memo_hits, 0u);
+  EXPECT_EQ(stats.oz_memo_misses, programs.size());
+  EXPECT_EQ(stats.oz_memo_bytes, 0u);
+}
+
+TEST(OzMemoTest, ForcedKeyCollisionMisses) {
+  auto a = tinyProgram(530);
+  auto b = tinyProgram(531);
+  ASSERT_NE(printModule(*a), printModule(*b));
+  double size_a = 0.0;
+  const auto oz_a = ozOf(*a, &size_a);
+  const SizeModel size_model(TargetInfo::forArch(TargetArch::X86_64));
+  OzMemo memo;
+  const std::uint64_t key = 42;  // injected: both programs share one key
+  EXPECT_FALSE(memo.lookup(key, *a).admissible);
+  EXPECT_TRUE(memo.lookup(key, *a).admissible);
+  ASSERT_TRUE(memo.admit(key, *a, *oz_a, size_a, size_model));
+
+  // Same key, different text: a miss, never a's output.
+  EXPECT_EQ(memo.lookup(key, *b).hit, nullptr);
+  const OzMemo::Probe hit = memo.lookup(key, *a);
+  ASSERT_NE(hit.hit, nullptr);
+  EXPECT_EQ(hit.hit->output_text, printModule(*oz_a));
+  EXPECT_EQ(hit.hit->size_bytes, size_a);
+  EXPECT_EQ(memo.stats().hits, 1u);
+}
+
+TEST(OzMemoTest, ByteCapEvictsLeastRecentlyUsed) {
+  auto a = tinyProgram(540);
+  auto b = tinyProgram(541);
+  double size_a = 0.0, size_b = 0.0;
+  const auto oz_a = ozOf(*a, &size_a);
+  const auto oz_b = ozOf(*b, &size_b);
+  const std::size_t bytes_a =
+      printModule(*a).size() + printModule(*oz_a).size();
+  const std::size_t bytes_b =
+      printModule(*b).size() + printModule(*oz_b).size();
+  const SizeModel size_model(TargetInfo::forArch(TargetArch::X86_64));
+  // Room for either entry, not both.
+  OzMemo memo(std::max(bytes_a, bytes_b));
+  ASSERT_TRUE(memo.admit(1, *a, *oz_a, size_a, size_model));
+  EXPECT_EQ(memo.stats().bytes, bytes_a);
+  ASSERT_TRUE(memo.admit(2, *b, *oz_b, size_b, size_model));
+  EXPECT_EQ(memo.stats().bytes, bytes_b);
+  EXPECT_EQ(memo.lookup(1, *a).hit, nullptr);  // evicted
+  EXPECT_NE(memo.lookup(2, *b).hit, nullptr);
+  // An entry larger than the whole budget is refused outright.
+  OzMemo tiny(16);
+  EXPECT_FALSE(tiny.admit(1, *a, *oz_a, size_a, size_model));
+  EXPECT_EQ(tiny.stats().bytes, 0u);
+}
+
+TEST(OzMemoServiceTest, FaultedOrDeadlineCutRungIsNeverStored) {
+  {
+    ServeConfig cfg = OzOnlyService::config();
+    cfg.env.sandbox.pass_fuel = 1;  // every -Oz run exhausts its fuel
+    OzOnlyService s(cfg);
+    auto program = tinyProgram(550);
+    for (int i = 0; i < 3; ++i) {
+      const ServeResult r = s.service.compile(*program, Deadline::never());
+      EXPECT_FALSE(r.oz_verified);
+      EXPECT_EQ(r.level, ServiceLevel::Identity);
+    }
+    const ServiceStats stats = s.service.stats();
+    EXPECT_EQ(stats.oz_memo_misses, 3u);
+    EXPECT_EQ(stats.oz_memo_hits, 0u);
+    EXPECT_EQ(stats.oz_memo_bytes, 0u);
+  }
+  {
+    // A deadline far shorter than -Oz on a 10-kernel program: the rung is
+    // either cut or skipped, and neither may leave an entry behind.
+    OzOnlyService s;
+    ProgramSpec spec;
+    spec.seed = 551;
+    spec.kernels = 10;
+    auto program = generateProgram(spec);
+    for (int i = 0; i < 4; ++i) {
+      const ServeResult r = s.service.compile(*program, Deadline::afterMillis(1));
+      EXPECT_FALSE(r.oz_verified);
+    }
+    const ServiceStats stats = s.service.stats();
+    EXPECT_EQ(stats.oz_memo_hits, 0u);
+    EXPECT_EQ(stats.oz_memo_bytes, 0u);
+  }
+}
+
+TEST(OzMemoServiceTest, DuplicateNamesAreNeverAdmitted) {
+  auto program = tinyProgram(560);
+  // Give a second result in one function the name of the first: the module
+  // still runs through -Oz, but its text is ambiguous.
+  bool renamed = false;
+  for (const auto& f : program->functions()) {
+    Instruction* first = nullptr;
+    for (const auto& bb : f->blocks()) {
+      for (const auto& inst : bb->insts()) {
+        if (inst->type()->isVoid()) continue;
+        if (first == nullptr) {
+          first = inst.get();
+        } else if (!renamed) {
+          inst->setName(first->name());
+          renamed = true;
+        }
+      }
+    }
+    if (renamed) break;
+  }
+  ASSERT_TRUE(renamed);
+  ASSERT_EQ(parseModule(printModule(*program)), nullptr);
+
+  OzOnlyService s;
+  for (int i = 0; i < 3; ++i) {
+    const ServeResult r = s.service.compile(*program, Deadline::never());
+    EXPECT_EQ(r.level, ServiceLevel::OzPipeline) << r.degraded_reason;
+  }
+  const ServiceStats stats = s.service.stats();
+  EXPECT_EQ(stats.oz_memo_hits, 0u);
+  EXPECT_EQ(stats.oz_memo_bytes, 0u);
+}
+
+TEST(CompileServiceStressTest, RepeatedProgramsKeepLadderGuarantees) {
+  ServeFixture fx;
+  ServeConfig cfg = fx.serveConfig();
+  cfg.workers = 4;
+  cfg.queue_capacity = 256;
+  CompileService service(*fx.agent, fx.actions, cfg);
+  const SizeModel size_model(TargetInfo::forArch(cfg.env.arch));
+
+  struct Pending {
+    std::future<ServeResult> future;
+    const Module* program;
+  };
+  std::vector<Pending> pending;
+  const std::size_t kRequests = 48;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const Module* program = fx.corpus[i % fx.corpus.size()];
+    pending.push_back({service.submit(*program, Deadline::never()), program});
+  }
+  for (Pending& p : pending) {
+    const ServeResult r = p.future.get();
+    ASSERT_EQ(r.status, ServeStatus::Ok);
+    ASSERT_NE(r.level, ServiceLevel::Identity) << r.degraded_reason;
+    ASSERT_TRUE(r.oz_verified);
+    ASSERT_NE(r.optimized, nullptr);
+    const auto vr = verifyModule(*r.optimized);
+    EXPECT_TRUE(vr.ok()) << vr.message();
+    EXPECT_LE(r.size_bytes, r.oz_size_bytes);
+    EXPECT_EQ(r.size_bytes, size_model.objectBytes(*r.optimized));
+    auto input = cloneModule(*p.program);
+    const OracleVerdict verdict = MiscompileOracle::diff(*input, *r.optimized);
+    EXPECT_TRUE(verdict.equivalent()) << verdict.message();
+    if (r.level == ServiceLevel::OzPipeline) {
+      const std::string text = printModule(*r.optimized);
+      auto reparsed = parseModule(text);
+      ASSERT_NE(reparsed, nullptr);
+      EXPECT_EQ(printModule(*reparsed), text);
+    }
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.oz_memo_hits + stats.oz_memo_misses, kRequests);
+  EXPECT_GT(stats.oz_memo_hits, 0u);
 }
 
 }  // namespace

@@ -171,6 +171,9 @@ echo "$SERVE_OUT"
 violations="$(kv "$SERVE_OUT" violations)"
 identity="$(kv "$SERVE_OUT" level_identity)"
 served="$(kv "$SERVE_OUT" ok)"
+# The driver cycles 24 requests over 6 programs, so the -Oz memo admits
+# each program on its second request and must serve later ones.
+memo_hits="$(kv "$SERVE_OUT" oz_memo_hits)"
 if [[ "$violations" == "missing" || "$violations" -ne 0 ]]; then
   echo "FAIL serve smoke: expected zero violations, got '$violations'"
   status=1
@@ -180,8 +183,11 @@ elif [[ "$identity" == "missing" || "$identity" -ne 0 ]]; then
 elif [[ "$served" == "missing" || "$served" -ne 24 ]]; then
   echo "FAIL serve smoke: expected 24 served requests, got '$served'"
   status=1
+elif [[ "$memo_hits" == "missing" || "$memo_hits" -eq 0 ]]; then
+  echo "FAIL serve smoke: repeated programs never hit the -Oz memo ('$memo_hits')"
+  status=1
 else
-  echo "ok   serve smoke (ok=$served violations=0 identity=0)"
+  echo "ok   serve smoke (ok=$served violations=0 identity=0 oz_memo_hits=$memo_hits)"
 fi
 
 echo "== online learning smoke =="
@@ -371,15 +377,17 @@ if [[ $TSAN -eq 1 ]]; then
   fi
   rm -rf "$TSAN_ONLINE"
   # Swap-churn and batcher unit tests (tight publish/pin/reclaim and
-  # batching races the driver cannot reach as directly), plus the GEMM
-  # bit-identity suite: its forced-mode dispatch pokes the atomic SIMD-mode
-  # slot the parallel trainer's actors read concurrently.
+  # batching races the driver cannot reach as directly), the GEMM
+  # bit-identity suite (its forced-mode dispatch pokes the atomic SIMD-mode
+  # slot the parallel trainer's actors read concurrently), and 4 workers
+  # sharing the -Oz memo on repeated programs.
+  TSAN_FILTER='SnapshotTest.ConcurrentSwapChurn:BatcherTest.*:SimdTest.*'
+  TSAN_FILTER+=':CompileServiceStressTest.RepeatedProgramsKeepLadderGuarantees'
   if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/posetrl_tests" \
-      --gtest_filter='SnapshotTest.ConcurrentSwapChurn:BatcherTest.*:SimdTest.*' \
-      >/dev/null; then
-    echo "ok   tsan snapshot swap churn + batcher + simd tests"
+      --gtest_filter="$TSAN_FILTER" >/dev/null; then
+    echo "ok   tsan snapshot swap churn + batcher + simd + oz memo tests"
   else
-    echo "FAIL tsan snapshot swap churn + batcher + simd tests"
+    echo "FAIL tsan snapshot swap churn + batcher + simd + oz memo tests"
     status=1
   fi
 
