@@ -6,12 +6,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/analysis_manager.h"
+#include "analysis/dominators.h"
+#include "analysis/fast_verifier.h"
 #include "core/environment.h"
 #include "core/oz_sequence.h"
 #include "embed/embed_cache.h"
 #include "embed/embedder.h"
+#include "faults/sandbox.h"
 #include "interp/interpreter.h"
+#include "ir/basic_block.h"
 #include "ir/clone.h"
+#include "ir/function.h"
+#include "ir/instruction.h"
 #include "ir/module.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -95,6 +102,65 @@ void BM_FullOzPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullOzPipeline);
+
+// The sandboxed -Oz rung as the serve path runs it (all checks on): passes,
+// per-pass fast verifier and contract checker, one run-local analysis cache.
+void BM_OzRungSandboxed(benchmark::State& state) {
+  auto base = benchProgram();
+  const SandboxConfig sc = sandboxConfigFor(EnvConfig{});
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto m = cloneModule(*base);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(runActionSandboxed(m, ozPassNames(), sc).ok);
+  }
+}
+BENCHMARK(BM_OzRungSandboxed);
+
+// Dominator trees of every function of the unoptimized program.
+void BM_DominatorTree(benchmark::State& state) {
+  auto m = benchProgram();
+  for (auto _ : state) {
+    for (const auto& f : m->functions()) {
+      if (f->isDeclaration()) continue;
+      const DominatorTree dt(*f);
+      benchmark::DoNotOptimize(dt.rpo().size());
+    }
+  }
+}
+BENCHMARK(BM_DominatorTree);
+
+// One post-pass verification where a single function changed: the largest
+// function is re-verified (its add's operands swap every iteration, so its
+// skip key never matches) and every other function is skipped.
+void BM_FastVerifyChangedFunction(benchmark::State& state) {
+  auto m = benchProgram();
+  Function* largest = nullptr;
+  std::size_t most = 0;
+  for (const auto& f : m->functions()) {
+    std::size_t n = 0;
+    for (const auto& b : f->blocks()) n += b->size();
+    if (n > most) {
+      most = n;
+      largest = f.get();
+    }
+  }
+  Instruction* add = nullptr;
+  for (const auto& b : largest->blocks())
+    for (const auto& inst : b->insts())
+      if (add == nullptr && inst->opcode() == Opcode::Add) add = inst.get();
+  AnalysisManager am;
+  FastVerifier fv;
+  fv.verify(*m, am);
+  for (auto _ : state) {
+    Value* lhs = add->operand(0);
+    add->setOperand(0, add->operand(1));
+    add->setOperand(1, lhs);
+    benchmark::DoNotOptimize(fv.verify(*m, am).ok());
+  }
+  state.counters["instrs"] = static_cast<double>(most);
+}
+BENCHMARK(BM_FastVerifyChangedFunction);
 
 void BM_ProgramEmbedding(benchmark::State& state) {
   auto m = benchProgram();

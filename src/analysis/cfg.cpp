@@ -4,6 +4,7 @@
 
 #include "ir/basic_block.h"
 #include "ir/function.h"
+#include "ir/instruction.h"
 
 namespace posetrl {
 
@@ -27,22 +28,24 @@ std::vector<BasicBlock*> reachableBlocks(Function& f) {
 std::vector<BasicBlock*> postOrder(Function& f) {
   std::vector<BasicBlock*> order;
   if (f.isDeclaration()) return order;
-  std::set<BasicBlock*> seen;
-  // Iterative post-order DFS.
+  // Iterative post-order DFS. The visited set is a stamp in the shared
+  // Value scratch slot, and a frame is a block plus its next successor
+  // index, so the walk allocates nothing per block.
+  const std::uint64_t gen = Value::nextStampGeneration();
   struct Frame {
     BasicBlock* block;
-    std::vector<BasicBlock*> succs;
-    std::size_t next = 0;
+    std::size_t next;
   };
-  std::vector<Frame> stack;
-  stack.push_back({f.entry(), f.entry()->successors()});
-  seen.insert(f.entry());
+  std::vector<Frame> stack{{f.entry(), 0}};
+  f.entry()->stampFingerprintId(gen, 0);
   while (!stack.empty()) {
     Frame& top = stack.back();
-    if (top.next < top.succs.size()) {
-      BasicBlock* s = top.succs[top.next++];
-      if (seen.insert(s).second) {
-        stack.push_back({s, s->successors()});
+    const Instruction* term = top.block->terminator();
+    if (term != nullptr && top.next < term->numSuccessors()) {
+      BasicBlock* s = term->successor(top.next++);
+      if (!s->fingerprintIdValid(gen)) {
+        s->stampFingerprintId(gen, 0);
+        stack.push_back({s, 0});
       }
     } else {
       order.push_back(top.block);

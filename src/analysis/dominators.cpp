@@ -1,5 +1,8 @@
 #include "analysis/dominators.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "analysis/cfg.h"
 #include "ir/basic_block.h"
 #include "ir/function.h"
@@ -11,85 +14,139 @@ namespace posetrl {
 const std::vector<BasicBlock*> DominatorTree::kEmptyChildren;
 const std::set<BasicBlock*> DominatorTree::kEmptyFrontier;
 
-DominatorTree::DominatorTree(Function& f) : function_(f) {
-  rpo_ = reversePostOrder(f);
-  for (std::size_t i = 0; i < rpo_.size(); ++i) rpo_index_[rpo_[i]] = i;
-  if (rpo_.empty()) return;
+std::size_t DominatorTree::slotFor(const BasicBlock* b) const {
+  // Fibonacci hashing of the address; blocks are at least 16-byte aligned.
+  const auto bits = reinterpret_cast<std::uintptr_t>(b) >> 4;
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(bits) * 0x9E3779B97F4A7C15ull) >>
+      slot_shift_);
+}
 
-  BasicBlock* entry = rpo_.front();
-  idom_[entry] = nullptr;
+std::uint32_t DominatorTree::indexOf(const BasicBlock* b) const {
+  if (slots_.empty() || b == nullptr) return kNone;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = slotFor(b);; i = (i + 1) & mask) {
+    if (slots_[i].first == b) return slots_[i].second;
+    if (slots_[i].first == nullptr) return kNone;
+  }
+}
 
-  // Cooper–Harvey–Kennedy "engineered" iterative algorithm.
-  const auto intersect = [&](BasicBlock* a, BasicBlock* b) {
+DominatorTree::DominatorTree(Function& f) : rpo_(reversePostOrder(f)) {
+  const auto n = static_cast<std::uint32_t>(rpo_.size());
+  if (n == 0) return;
+
+  // Block -> RPO index table: open addressing with linear probing, sized
+  // once to a load factor of at most 1/2.
+  const std::size_t capacity = std::bit_ceil(2 * std::size_t{n});
+  slots_.assign(capacity, {nullptr, kNone});
+  slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::size_t s = slotFor(rpo_[i]);
+    while (slots_[s].first != nullptr) s = (s + 1) & (capacity - 1);
+    slots_[s] = {rpo_[i], i};
+  }
+
+  // Unique reachable predecessors per block, in the discovery order of
+  // BasicBlock::predecessors() (terminator users that branch here).
+  pred_begin_.reserve(n + 1);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    pred_begin_.push_back(static_cast<std::uint32_t>(preds_.size()));
+    const BasicBlock* b = rpo_[i];
+    for (const Instruction* user : b->users()) {
+      if (!user->isTerminator()) continue;
+      bool targets_b = false;
+      for (std::size_t s = 0; s < user->numSuccessors() && !targets_b; ++s)
+        targets_b = user->successor(s) == b;
+      if (!targets_b) continue;
+      const std::uint32_t p = indexOf(user->parent());
+      if (p == kNone) continue;  // Unreachable predecessor.
+      if (std::find(preds_.begin() + pred_begin_[i], preds_.end(), p) ==
+          preds_.end())
+        preds_.push_back(p);
+    }
+  }
+  pred_begin_.push_back(static_cast<std::uint32_t>(preds_.size()));
+
+  // Cooper–Harvey–Kennedy "engineered" iterative algorithm on RPO indices:
+  // a dominator always has a smaller index than the blocks it dominates.
+  idom_.assign(n, kNone);
+  idom_[0] = 0;
+  const auto intersect = [&](std::uint32_t a, std::uint32_t b) {
     while (a != b) {
-      while (rpo_index_.at(a) > rpo_index_.at(b)) a = idom_.at(a);
-      while (rpo_index_.at(b) > rpo_index_.at(a)) b = idom_.at(b);
+      while (a > b) a = idom_[a];
+      while (b > a) b = idom_[b];
     }
     return a;
   };
-
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 1; i < rpo_.size(); ++i) {
-      BasicBlock* b = rpo_[i];
-      BasicBlock* new_idom = nullptr;
-      for (BasicBlock* p : b->predecessors()) {
-        if (!rpo_index_.count(p)) continue;  // Unreachable predecessor.
-        if (!idom_.count(p)) continue;       // Not processed yet.
-        if (new_idom == nullptr) {
-          new_idom = p;
-        } else {
-          new_idom = intersect(p, new_idom);
-        }
+    for (std::uint32_t i = 1; i < n; ++i) {
+      std::uint32_t new_idom = kNone;
+      for (std::uint32_t k = pred_begin_[i]; k < pred_begin_[i + 1]; ++k) {
+        const std::uint32_t p = preds_[k];
+        if (idom_[p] == kNone) continue;  // Not processed yet.
+        new_idom = new_idom == kNone ? p : intersect(p, new_idom);
       }
-      POSETRL_CHECK(new_idom != nullptr,
+      POSETRL_CHECK(new_idom != kNone,
                     "reachable block without processed predecessor");
-      auto it = idom_.find(b);
-      if (it == idom_.end() || it->second != new_idom) {
-        idom_[b] = new_idom;
+      if (idom_[i] != new_idom) {
+        idom_[i] = new_idom;
         changed = true;
       }
     }
   }
 
-  for (BasicBlock* b : rpo_) {
-    if (BasicBlock* d = idom_.at(b)) children_[d].push_back(b);
-  }
+  children_.resize(n);
+  for (std::uint32_t i = 1; i < n; ++i) children_[idom_[i]].push_back(rpo_[i]);
 
-  // Dominance frontiers (Cooper–Harvey–Kennedy).
-  for (BasicBlock* b : rpo_) {
-    const auto preds = b->predecessors();
-    std::size_t reachable_preds = 0;
-    for (BasicBlock* p : preds) {
-      if (rpo_index_.count(p)) ++reachable_preds;
-    }
-    if (reachable_preds < 2) continue;
-    for (BasicBlock* p : preds) {
-      if (!rpo_index_.count(p)) continue;
-      BasicBlock* runner = p;
-      while (runner != idom_.at(b)) {
-        frontier_[runner].insert(b);
-        runner = idom_.at(runner);
-      }
+  // Preorder interval numbering of the dominator tree, children visited in
+  // RPO: a dominates b exactly when pre_[a] <= pre_[b] < end_[a]. RPO lists
+  // every parent before its children, so subtree sizes fold bottom-up and
+  // preorder slots hand out top-down, with no explicit DFS.
+  end_.assign(n, 1);  // Subtree sizes first.
+  for (std::uint32_t i = n - 1; i > 0; --i) end_[idom_[i]] += end_[i];
+  pre_.assign(n, 0);
+  std::vector<std::uint32_t> next_slot(n);
+  next_slot[0] = 1;
+  for (std::uint32_t i = 1; i < n; ++i) {
+    pre_[i] = next_slot[idom_[i]];
+    next_slot[idom_[i]] += end_[i];
+    next_slot[i] = pre_[i] + 1;
+  }
+  for (std::uint32_t i = 0; i < n; ++i) end_[i] += pre_[i];
+}
+
+void DominatorTree::computeFrontiers() const {
+  // Cooper–Harvey–Kennedy: walk from each predecessor of a join block up
+  // to the join's immediate dominator. The entry has no immediate
+  // dominator, so a walk towards it (only on a malformed CFG with edges
+  // into the entry) runs through the root.
+  const auto n = static_cast<std::uint32_t>(rpo_.size());
+  frontier_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (pred_begin_[i + 1] - pred_begin_[i] < 2) continue;
+    const std::uint32_t stop = i == 0 ? kNone : idom_[i];
+    for (std::uint32_t k = pred_begin_[i]; k < pred_begin_[i + 1]; ++k) {
+      for (std::uint32_t runner = preds_[k]; runner != stop;
+           runner = runner == 0 ? kNone : idom_[runner])
+        frontier_[runner].insert(rpo_[i]);
     }
   }
+  frontiers_built_ = true;
 }
 
 BasicBlock* DominatorTree::idom(BasicBlock* b) const {
-  auto it = idom_.find(b);
-  return it == idom_.end() ? nullptr : it->second;
+  const std::uint32_t i = indexOf(b);
+  return i == kNone || i == 0 ? nullptr : rpo_[idom_[i]];
 }
 
 bool DominatorTree::dominates(BasicBlock* a, BasicBlock* b) const {
   if (a == b) return true;
-  if (!rpo_index_.count(a) || !rpo_index_.count(b)) return false;
-  const std::size_t limit = rpo_index_.at(a);
-  BasicBlock* runner = b;
-  while (runner != nullptr && rpo_index_.at(runner) > limit) {
-    runner = idom_.at(runner);
-  }
-  return runner == a;
+  const std::uint32_t ia = indexOf(a);
+  const std::uint32_t ib = indexOf(b);
+  if (ia == kNone || ib == kNone) return false;
+  return pre_[ia] <= pre_[ib] && pre_[ib] < end_[ia];
 }
 
 bool DominatorTree::dominatesUse(const Instruction* def,
@@ -116,13 +173,15 @@ bool DominatorTree::dominatesUse(const Instruction* def,
 }
 
 const std::vector<BasicBlock*>& DominatorTree::children(BasicBlock* b) const {
-  auto it = children_.find(b);
-  return it == children_.end() ? kEmptyChildren : it->second;
+  const std::uint32_t i = indexOf(b);
+  return i == kNone ? kEmptyChildren : children_[i];
 }
 
 const std::set<BasicBlock*>& DominatorTree::frontier(BasicBlock* b) const {
-  auto it = frontier_.find(b);
-  return it == frontier_.end() ? kEmptyFrontier : it->second;
+  const std::uint32_t i = indexOf(b);
+  if (i == kNone) return kEmptyFrontier;
+  if (!frontiers_built_) computeFrontiers();
+  return frontier_[i];
 }
 
 }  // namespace posetrl

@@ -1,6 +1,7 @@
 #include "analysis/fast_verifier.h"
 
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "analysis/def_use.h"
@@ -26,7 +27,7 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
 
   // Reused scratch containers: clear() keeps the bucket arrays, so the
   // per-pass steady state allocates nothing here.
-  thread_local std::unordered_set<std::string> names;
+  thread_local std::unordered_set<std::string_view> names;
   names.clear();
   for (const auto& f : m.functions())
     if (!names.insert(f->name()).second)
@@ -70,14 +71,31 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
       }
     }
 
+    // Dense ids through the shared Value scratch slot: blocks, then
+    // instructions, in layout order. An id answers "is this block one of
+    // f's own" and "which comes first in a block" with two member loads.
+    // Analysis queries may re-stamp the slot, so this runs after the
+    // def-use query and again after the dominator query below.
+    const std::size_t num_blocks = f.blocks().size();
+    const auto numberLocals = [&] {
+      const std::uint64_t gen = Value::nextStampGeneration();
+      std::size_t id = 0;
+      for (const auto& b : f.blocks()) b->stampFingerprintId(gen, id++);
+      for (const auto& b : f.blocks())
+        for (const auto& inst : b->insts()) inst->stampFingerprintId(gen, id++);
+      return gen;
+    };
+    std::uint64_t gen = numberLocals();
+    const auto isOwnBlock = [&](const Value* v) {
+      return v != nullptr && v->fingerprintIdValid(gen) &&
+             v->fingerprintId() < num_blocks;
+    };
+
     const std::size_t errors_before = result.errors.size();
 
     // --- single structural walk ---
     if (!f.entry()->predecessors().empty())
       error(result, f, "entry block has predecessors");
-
-    std::unordered_set<const BasicBlock*> block_set;
-    for (const auto& b : f.blocks()) block_set.insert(b.get());
 
     for (const auto& b : f.blocks()) {
       if (b->parent() != &f)
@@ -105,7 +123,7 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
         if (!inst->type()->isVoid() && inst->name().empty())
           error(result, f, "unnamed instruction result");
         for (std::size_t s = 0; s < inst->numSuccessors(); ++s)
-          if (block_set.count(inst->successor(s)) == 0)
+          if (!isOwnBlock(inst->successor(s)))
             error(result, f, "branch to block of another function");
         checkInstructionTypes(&f, *inst, result);
         ++idx;
@@ -114,53 +132,50 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
 
     // --- phi incoming edges vs predecessors ---
     for (const auto& b : f.blocks()) {
+      if (b->empty() || b->front()->opcode() != Opcode::Phi) continue;
       const auto preds = b->predecessors();
-      for (PhiInst* phi : b->phis()) {
+      for (const auto& inst : b->insts()) {
+        if (inst->opcode() != Opcode::Phi) break;
+        const auto* phi = static_cast<const PhiInst*>(inst.get());
         if (phi->numIncoming() != preds.size()) {
           error(result, f,
                 "phi incoming count != predecessor count of " + b->name());
           continue;
         }
-        std::unordered_set<const BasicBlock*> incoming;
-        for (std::size_t i = 0; i < phi->numIncoming(); ++i) {
-          incoming.insert(phi->incomingBlock(i));
+        for (std::size_t i = 0; i < phi->numIncoming(); ++i)
           if (phi->incomingValue(i)->type() != phi->type())
             error(result, f, "phi incoming value type mismatch");
-        }
-        for (const BasicBlock* p : preds)
-          if (incoming.count(p) == 0)
+        for (const BasicBlock* p : preds) {
+          bool found = false;
+          for (std::size_t i = 0; i < phi->numIncoming() && !found; ++i)
+            found = phi->incomingBlock(i) == p;
+          if (!found)
             error(result, f, "phi missing incoming edge from " + p->name());
+        }
       }
     }
 
-    // --- use-list integrity for function-local values ---
-    const auto check_uses = [&](const Value* v, const std::string& what) {
+    // --- use-list integrity for function-local values (the message is
+    // built only on a mismatch) ---
+    const auto checkUses = [&](const Value* v, const char* what) {
       const std::size_t expected = du.operandUses(v);
       if (v->numUses() != expected)
         error(result, f,
-              "use-list size mismatch for " + what + " (" +
+              "use-list size mismatch for " + (what + v->name()) + " (" +
                   std::to_string(v->numUses()) + " recorded vs " +
                   std::to_string(expected) + " actual)");
     };
-    for (const auto& a : f.args()) check_uses(a.get(), "%" + a->name());
+    for (const auto& a : f.args()) checkUses(a.get(), "%");
     for (const auto& b : f.blocks()) {
-      check_uses(b.get(), "label " + b->name());
-      for (const auto& inst : b->insts())
-        check_uses(inst.get(), "%" + inst->name());
+      checkUses(b.get(), "label ");
+      for (const auto& inst : b->insts()) checkUses(inst.get(), "%");
     }
 
     // --- SSA dominance, only on structurally clean functions (the cached
     // dominator tree asserts on malformed CFGs) ---
     if (result.errors.size() == errors_before) {
       const DominatorTree& dt = am.dominators(f);
-      // Reused scratch: clear() keeps the bucket array, so re-verifying a
-      // changed function allocates nothing in the steady state.
-      thread_local std::unordered_map<const Instruction*, std::size_t> order;
-      order.clear();
-      for (const auto& b : f.blocks()) {
-        std::size_t i = 0;
-        for (const auto& inst : b->insts()) order[inst.get()] = i++;
-      }
+      gen = numberLocals();
       for (const auto& b : f.blocks()) {
         if (!dt.isReachable(b.get())) continue;
         for (const auto& inst : b->insts()) {
@@ -180,8 +195,14 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
                 error(result, f,
                       "phi incoming value does not dominate its edge");
             } else if (def->parent() == b.get()) {
-              if (order[def] >= order[inst.get()])
-                error(result, f, "use before def in block");
+              // Ids follow block order. A def that claims this block but
+              // is in no block's list has no id and counts as position 0,
+              // as the full verifier's order map does.
+              const bool after = def->fingerprintIdValid(gen)
+                                     ? def->fingerprintId() >=
+                                           inst->fingerprintId()
+                                     : inst.get() == b->front();
+              if (after) error(result, f, "use before def in block");
             } else if (!dt.dominates(def->parent(), b.get())) {
               error(result, f, "operand does not dominate use");
             }

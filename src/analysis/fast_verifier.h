@@ -7,13 +7,23 @@
 ///   - functions whose content hash matches the last clean verification are
 ///     skipped entirely (a pass touching one function re-verifies one
 ///     function);
+///   - a re-verified function is numbered densely (blocks, then
+///     instructions, in layout order) through the shared Value scratch slot
+///     (Value::nextStampGeneration), so block membership ("branch to block
+///     of another function") and in-block order ("use before def") are
+///     member loads instead of per-pass hash sets and maps; phi incoming
+///     blocks are matched by a linear scan; use-list messages are built
+///     only on a mismatch;
 ///   - SSA dominance uses the AnalysisManager's cached dominator tree
 ///     instead of the O(n^2) set-based computation, and only runs when the
 ///     structural checks (terminators, phi placement, parents, types,
 ///     use lists) came back clean — the tree construction asserts on
-///     malformed CFGs.
+///     malformed CFGs. The dominator query may re-stamp the scratch slot,
+///     so the function is numbered again after it.
 /// The check set is the same: anything the full verifier flags, this
-/// flags too (and vice versa).
+/// flags too (and vice versa) — tests/fuzz_test.cpp's
+/// VerifierEquivalenceTest holds both to the same verdict on mutated text
+/// and on corrupted pass-soup outputs, with cold and warm skip caches.
 
 #include <cstddef>
 #include <unordered_map>

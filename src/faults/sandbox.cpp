@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <exception>
+#include <optional>
 
 #include "analysis/analysis_manager.h"
 #include "analysis/fast_verifier.h"
@@ -38,6 +39,18 @@ SandboxOutcome runActionSandboxed(std::unique_ptr<Module>& module,
                           config.max_ir_growth)) +
                 config.ir_growth_headroom
           : 0;
+
+  // One analysis cache for the whole action. A caller that owns a manager
+  // (PhaseOrderEnv::step) has already installed it; otherwise a run-local
+  // one is installed here, so each pass reuses the dominators and loop info
+  // that the previous pass's checks just validated instead of rebuilding
+  // them in a throwaway manager.
+  std::optional<AnalysisManager> run_manager;
+  std::optional<AnalysisScope> run_scope;
+  if (AnalysisManager::current() == nullptr) {
+    run_manager.emplace();
+    run_scope.emplace(*run_manager);
+  }
 
   // Verifier/oracle attribution reuses the lint instrumentation layer; the
   // sandbox never aborts, it rolls back.

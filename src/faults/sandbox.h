@@ -12,7 +12,10 @@
 /// identical text, and a FaultReport describes what happened. On success
 /// the module keeps the transformed state, exactly as an unsandboxed run
 /// would leave it. Pass execution runs under the module's ArenaScope, so
-/// instruction/block churn stays inside the module's bump arena.
+/// instruction/block churn stays inside the module's bump arena. One
+/// AnalysisManager serves the whole action: the caller's ambient one when a
+/// scope is installed (PhaseOrderEnv::step), else a run-local one, so the
+/// passes and the per-pass checks share cached dominators and loop info.
 
 #include <memory>
 #include <string>

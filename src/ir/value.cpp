@@ -1,6 +1,7 @@
 #include "ir/value.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "ir/instruction.h"
 
@@ -24,7 +25,12 @@ bool UserTrackingSuspender::active() {
 
 namespace {
 
-thread_local std::uint64_t g_stamp_generation = 0;
+// Each thread draws generations from its own 2^40-wide range, so a stamp
+// left by one thread can never read as valid to another thread's walk over
+// the same module (modules move between serve threads over their lifetime).
+std::atomic<std::uint64_t> g_stamp_thread_ranges{0};
+thread_local std::uint64_t g_stamp_generation =
+    (g_stamp_thread_ranges.fetch_add(1, std::memory_order_relaxed) + 1) << 40;
 
 }  // namespace
 

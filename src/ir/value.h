@@ -83,12 +83,12 @@ class Value {
            kind_ == Kind::ConstantNull || kind_ == Kind::Undef;
   }
 
-  /// Scratch value-numbering slot for the analysis fingerprint walk
-  /// (analysis/analysis_manager.cpp). The id is only meaningful while
-  /// \p generation matches the walk that stamped it, so no clearing pass is
-  /// ever needed. The generation counter is thread-local and modules are
-  /// never fingerprinted from two threads at once, so the slot is safe for
-  /// the parallel trainer's per-actor environments.
+  /// Scratch value-numbering slot for stamping walks (analysis
+  /// fingerprints, the fast verifier's local numbering, module snapshots).
+  /// The id is only meaningful while \p generation matches the walk that
+  /// stamped it, so no clearing pass is ever needed. Generations are unique
+  /// across threads and a module is never walked from two threads at once,
+  /// so the slot is safe for per-actor environments and serve workers.
   void stampFingerprintId(std::uint64_t generation, std::uint64_t id) const {
     fp_gen_ = generation;
     fp_id_ = id;
@@ -102,7 +102,8 @@ class Value {
   /// walkers (analysis fingerprints, module snapshots, the structural
   /// content hash) must draw from this single thread-local counter: two
   /// walkers with independent counters could hand out the same generation
-  /// and silently accept each other's stale ids.
+  /// and silently accept each other's stale ids. The counter is
+  /// thread-local, but each thread counts within its own range.
   static std::uint64_t nextStampGeneration();
 
  protected:

@@ -43,14 +43,12 @@ namespace {
 /// Modeled size of \p program after a sandboxed stock -Oz run; negative when
 /// the -Oz pipeline itself faulted (the module is then excluded from the
 /// floor comparison — matching the serving ladder, which also skips the -Oz
-/// rung when it faults).
+/// rung when it faults). Same sandbox switches as the serving ladder's rung.
 double sandboxedOzSize(const Module& program, const EnvConfig& env,
                        const SizeModel& size_model) {
   std::unique_ptr<Module> oz = cloneModule(program);
-  SandboxConfig sc = env.sandbox;
-  sc.verify = env.verify_actions;
-  sc.oracle = env.oracle_actions;
-  const SandboxOutcome out = runActionSandboxed(oz, ozPassNames(), sc);
+  const SandboxOutcome out =
+      runActionSandboxed(oz, ozPassNames(), sandboxConfigFor(env));
   if (!out.ok) return -1.0;
   return size_model.objectBytes(*oz);
 }

@@ -33,18 +33,24 @@ class LICMPass : public FunctionPass {
   bool runOnFunction(Function& f) override {
     bool changed = false;
     AnalysisManager local_am;
-    const LoopInfo& li = AnalysisManager::currentOr(local_am).loopInfo(f);
+    AnalysisManager& am = AnalysisManager::currentOr(local_am);
+    // Both queries run before any instruction moves; nothing below queries
+    // the manager again (a re-query after a move would rebuild the LoopInfo
+    // whose Loop objects this pass iterates). LICM never changes the CFG,
+    // so this one tree answers every candidate load's dominance query.
+    const DominatorTree& dt = am.dominators(f);
+    const LoopInfo& li = am.loopInfo(f);
     // Outermost-first so hoisted code can keep moving outward on later
     // iterations of the inner loops' own processing.
     auto loops = li.loopsInnermostFirst();
     for (auto it = loops.rbegin(); it != loops.rend(); ++it) {
-      changed |= hoistFromLoop(**it);
+      changed |= hoistFromLoop(**it, dt);
     }
     return changed;
   }
 
  private:
-  bool hoistFromLoop(Loop& loop) {
+  bool hoistFromLoop(Loop& loop, const DominatorTree& dt) {
     BasicBlock* ph = loop.preheader();
     if (ph == nullptr) return false;
     Instruction* ph_term = ph->terminator();
@@ -66,7 +72,7 @@ class LICMPass : public FunctionPass {
         std::vector<Instruction*> insts;
         for (const auto& inst : bb->insts()) insts.push_back(inst.get());
         for (Instruction* inst : insts) {
-          if (!canHoist(*inst, loop, loop_writes)) continue;
+          if (!canHoist(*inst, loop, loop_writes, dt)) continue;
           bool invariant_ops = true;
           for (const Value* op : inst->operands()) {
             if (!isLoopInvariant(loop, op)) invariant_ops = false;
@@ -87,7 +93,8 @@ class LICMPass : public FunctionPass {
   /// here because a trap would already be possible on the first iteration;
   /// we stay stricter and additionally require the load's block to dominate
   /// every latch, i.e. it executes on every iteration).
-  bool canHoist(const Instruction& inst, Loop& loop, bool loop_writes) const {
+  bool canHoist(const Instruction& inst, Loop& loop, bool loop_writes,
+                const DominatorTree& dt) const {
     switch (inst.opcode()) {
       case Opcode::Phi:
       case Opcode::Alloca:
@@ -97,11 +104,6 @@ class LICMPass : public FunctionPass {
       case Opcode::Load: {
         if (loop_writes) return false;
         // Must be guaranteed to execute: block dominates the latch.
-        // Deliberately NOT routed through the ambient AnalysisManager: by
-        // this point the pass has moved instructions, and re-querying the
-        // manager for this function would destroy the cached LoopInfo whose
-        // Loop objects runOnFunction is still iterating.
-        DominatorTree dt(*inst.function());
         BasicBlock* latch = loop.singleLatch();
         if (latch == nullptr) return false;
         return dt.dominates(inst.parent(), latch);

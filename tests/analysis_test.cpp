@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "analysis/block_frequency.h"
 #include "analysis/call_graph.h"
 #include "analysis/cfg.h"
@@ -14,6 +20,8 @@
 #include "ir/module.h"
 #include "ir/parser.h"
 #include "ir/verifier.h"
+#include "support/rng.h"
+#include "workloads/generator.h"
 
 namespace posetrl {
 namespace {
@@ -139,6 +147,206 @@ TEST(DomTest, DominatesUseThroughPhi) {
   EXPECT_TRUE(dt.dominatesUse(cast<Instruction>(va), phi));
   phi->setIncomingValue(phi->indexOfBlock(d.b), va);
   EXPECT_FALSE(dt.dominatesUse(cast<Instruction>(va), phi));
+}
+
+// --- dominator tree vs a naive set-based reference ---------------------------
+
+/// Straight from the definitions: reachability by DFS, dominator sets by
+/// iterating dom(b) = {b} + intersection of dom(p) over reachable preds to
+/// a fixpoint, idom as the strict dominator with the largest dominator set,
+/// and DF(x) = {y : x dominates a reachable pred of y, x does not strictly
+/// dominate y}. Valid for CFGs whose entry has no predecessors.
+void expectMatchesNaiveDominators(Function& f, const std::string& what) {
+  const DominatorTree dt(f);
+  std::vector<BasicBlock*> blocks;
+  for (const auto& b : f.blocks()) blocks.push_back(b.get());
+  BasicBlock* entry = f.entry();
+
+  std::set<BasicBlock*> reach{entry};
+  std::vector<BasicBlock*> stack{entry};
+  while (!stack.empty()) {
+    BasicBlock* b = stack.back();
+    stack.pop_back();
+    for (BasicBlock* s : b->successors())
+      if (reach.insert(s).second) stack.push_back(s);
+  }
+
+  std::map<BasicBlock*, std::set<BasicBlock*>> dom;
+  for (BasicBlock* b : blocks)
+    if (reach.count(b)) dom[b] = b == entry ? std::set<BasicBlock*>{b} : reach;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (BasicBlock* b : blocks) {
+      if (!reach.count(b) || b == entry) continue;
+      std::set<BasicBlock*> meet = reach;
+      for (BasicBlock* p : b->predecessors()) {
+        if (!reach.count(p)) continue;
+        std::set<BasicBlock*> kept;
+        for (BasicBlock* d : meet)
+          if (dom[p].count(d)) kept.insert(d);
+        meet = std::move(kept);
+      }
+      meet.insert(b);
+      if (meet != dom[b]) {
+        dom[b] = std::move(meet);
+        changed = true;
+      }
+    }
+  }
+  const auto refDominates = [&](BasicBlock* a, BasicBlock* b) {
+    return a == b || (reach.count(a) && reach.count(b) && dom[b].count(a));
+  };
+  const auto refIdom = [&](BasicBlock* b) -> BasicBlock* {
+    if (!reach.count(b) || b == entry) return nullptr;
+    BasicBlock* best = nullptr;
+    for (BasicBlock* d : dom[b])
+      if (d != b && (best == nullptr || dom[d].size() > dom[best].size()))
+        best = d;
+    return best;
+  };
+
+  // Recursive DFS, successors in terminator order, marked on entry.
+  std::vector<BasicBlock*> rpo;
+  std::set<BasicBlock*> seen;
+  const std::function<void(BasicBlock*)> dfs = [&](BasicBlock* b) {
+    seen.insert(b);
+    for (BasicBlock* s : b->successors())
+      if (!seen.count(s)) dfs(s);
+    rpo.insert(rpo.begin(), b);
+  };
+  dfs(entry);
+  EXPECT_EQ(dt.rpo(), rpo) << what;
+  EXPECT_EQ(reversePostOrder(f), rpo) << what;
+  EXPECT_EQ(rpo.size(), reach.size()) << what;
+  for (BasicBlock* b : blocks) {
+    const std::string at = what + " block " + b->name();
+    EXPECT_EQ(dt.isReachable(b), reach.count(b) > 0) << at;
+    EXPECT_EQ(dt.idom(b), refIdom(b)) << at;
+    for (BasicBlock* a : blocks)
+      EXPECT_EQ(dt.dominates(a, b), refDominates(a, b))
+          << at << " dominated by " << a->name();
+
+    std::vector<BasicBlock*> kids;
+    for (BasicBlock* c : rpo)
+      if (refIdom(c) == b) kids.push_back(c);
+    EXPECT_EQ(dt.children(b), kids) << at;
+
+    std::set<BasicBlock*> frontier;
+    if (reach.count(b)) {
+      for (BasicBlock* y : blocks) {
+        if (!reach.count(y)) continue;
+        if (b != y && refDominates(b, y)) continue;
+        for (BasicBlock* p : y->predecessors())
+          if (reach.count(p) && refDominates(b, p)) frontier.insert(y);
+      }
+    }
+    EXPECT_EQ(dt.frontier(b), frontier) << at;
+  }
+}
+
+/// Random CFG over \p n blocks of fn(i1) -> i64: returns, branches,
+/// conditional branches (some with both targets equal), self-loops, and a
+/// hub block that many blocks branch to. The entry is never a target;
+/// blocks nothing reaches stay unreachable.
+struct RandomCfg {
+  std::unique_ptr<Module> m;
+  Function* f = nullptr;
+  std::vector<BasicBlock*> blocks;
+};
+
+RandomCfg makeRandomCfg(Rng& rng, std::size_t n) {
+  RandomCfg g;
+  g.m = std::make_unique<Module>("cfg");
+  TypeContext& tc = g.m->types();
+  g.f = g.m->createFunction("f", tc.funcType(tc.i64(), {tc.i1()}),
+                            Function::Linkage::Internal);
+  for (std::size_t i = 0; i < n; ++i)
+    g.blocks.push_back(g.f->addBlock("b" + std::to_string(i)));
+  BasicBlock* hub = g.blocks[1 + rng.nextBelow(n - 1)];
+  const auto target = [&]() {
+    return rng.nextBelow(4) == 0 ? hub : g.blocks[1 + rng.nextBelow(n - 1)];
+  };
+  IRBuilder ib(g.m.get());
+  for (std::size_t i = 0; i < n; ++i) {
+    ib.setInsertPoint(g.blocks[i]);
+    const std::uint64_t pick = rng.nextBelow(20);
+    if (pick < 3) {
+      ib.ret(g.m->i64Const(static_cast<std::int64_t>(i)));
+    } else if (pick == 3 && i != 0) {
+      ib.br(g.blocks[i]);  // self-loop
+    } else if (pick == 4) {
+      BasicBlock* t = target();
+      ib.condBr(g.f->arg(0), t, t);  // both targets equal
+    } else if (pick < 11) {
+      ib.br(target());
+    } else {
+      ib.condBr(g.f->arg(0), target(), target());
+    }
+  }
+  return g;
+}
+
+TEST(DomTest, MatchesNaiveReferenceOnRandomCfgs) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 150; ++trial) {
+    RandomCfg g = makeRandomCfg(rng, 2 + rng.nextBelow(23));
+    expectMatchesNaiveDominators(*g.f, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(DomTest, MatchesNaiveReferenceUnderCfgMutations) {
+  // Each mutation is applied on top of the previous ones and the tree is
+  // rebuilt and compared after every step.
+  Rng rng(777);
+  for (int trial = 0; trial < 30; ++trial) {
+    RandomCfg g = makeRandomCfg(rng, 4 + rng.nextBelow(12));
+    IRBuilder ib(g.m.get());
+    for (int step = 0; step < 8; ++step) {
+      const std::size_t n = g.blocks.size();
+      BasicBlock* victim = g.blocks[1 + rng.nextBelow(n - 1)];
+      BasicBlock* other = g.blocks[1 + rng.nextBelow(n - 1)];
+      Instruction* term = victim->terminator();
+      switch (rng.nextBelow(4)) {
+        case 0: {  // An unreachable block branching into the graph.
+          BasicBlock* dead = g.f->addBlock("dead" + std::to_string(step));
+          ib.setInsertPoint(dead);
+          ib.condBr(g.f->arg(0), victim, other);
+          g.blocks.push_back(dead);
+          break;
+        }
+        case 1:  // Self-loop.
+          if (term->numSuccessors() > 0) term->setSuccessor(0, victim);
+          break;
+        case 2:  // Conditional branch with both targets equal.
+          if (term->numSuccessors() == 2)
+            term->setSuccessor(1, term->successor(0));
+          break;
+        default:  // Many predecessors: retarget a third of all edges.
+          for (BasicBlock* b : g.blocks) {
+            Instruction* t = b->terminator();
+            for (std::size_t s = 0; s < t->numSuccessors(); ++s)
+              if (rng.nextBelow(3) == 0) t->setSuccessor(s, other);
+          }
+          break;
+      }
+      expectMatchesNaiveDominators(
+          *g.f, "trial " + std::to_string(trial) + " step " +
+                    std::to_string(step));
+    }
+  }
+}
+
+TEST(DomTest, MatchesNaiveReferenceOnGeneratedPrograms) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    ProgramSpec spec;
+    spec.seed = seed;
+    spec.kernels = 2 + static_cast<int>(seed % 4);
+    auto m = generateProgram(spec);
+    for (const auto& f : m->functions())
+      if (!f->isDeclaration())
+        expectMatchesNaiveDominators(*f, "seed " + std::to_string(seed) +
+                                             " @" + f->name());
+  }
 }
 
 TEST(LoopTest, DetectsNest) {

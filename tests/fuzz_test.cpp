@@ -7,9 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "analysis/analysis_manager.h"
+#include "analysis/fast_verifier.h"
 #include "core/oz_sequence.h"
 #include "interp/interpreter.h"
+#include "ir/basic_block.h"
+#include "ir/function.h"
+#include "ir/instruction.h"
 #include "ir/module.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -39,6 +48,36 @@ std::vector<std::string> fuzzablePassNames() {
   return names;
 }
 
+/// 1-4 random byte-level edits of \p text: substitution, deletion, or
+/// duplication.
+std::string mutateText(std::string text, Rng& rng) {
+  const int edits = 1 + static_cast<int>(rng.nextBelow(4));
+  for (int e = 0; e < edits && !text.empty(); ++e) {
+    const std::size_t pos = rng.nextBelow(text.size());
+    switch (rng.nextBelow(3)) {
+      case 0:
+        text[pos] = static_cast<char>(' ' + rng.nextBelow(95));
+        break;
+      case 1:
+        text.erase(pos, 1 + rng.nextBelow(5));
+        break;
+      default:
+        text.insert(pos, text.substr(pos, 1 + rng.nextBelow(8)));
+        break;
+    }
+  }
+  return text;
+}
+
+/// \p count passes drawn uniformly from \p names.
+std::vector<std::string> randomSoup(const std::vector<std::string>& names,
+                                    Rng& rng, int count) {
+  std::vector<std::string> soup;
+  for (int i = 0; i < count; ++i)
+    soup.push_back(names[rng.nextBelow(names.size())]);
+  return soup;
+}
+
 TEST(FuzzTest, MutatedTextNeverCrashesParser) {
   ProgramSpec spec;
   spec.seed = 777;
@@ -49,23 +88,7 @@ TEST(FuzzTest, MutatedTextNeverCrashesParser) {
   int parsed_ok = 0;
   int rejected = 0;
   for (int trial = 0; trial < 300; ++trial) {
-    std::string text = base;
-    // 1-4 random mutations: byte substitution, deletion, or duplication.
-    const int edits = 1 + static_cast<int>(rng.nextBelow(4));
-    for (int e = 0; e < edits && !text.empty(); ++e) {
-      const std::size_t pos = rng.nextBelow(text.size());
-      switch (rng.nextBelow(3)) {
-        case 0:
-          text[pos] = static_cast<char>(' ' + rng.nextBelow(95));
-          break;
-        case 1:
-          text.erase(pos, 1 + rng.nextBelow(5));
-          break;
-        default:
-          text.insert(pos, text.substr(pos, 1 + rng.nextBelow(8)));
-          break;
-      }
-    }
+    const std::string text = mutateText(base, rng);
     std::string err;
     auto mutant = parseModule(text, &err);
     if (mutant == nullptr) {
@@ -94,11 +117,7 @@ TEST(FuzzTest, RandomPassSoupPreservesSemantics) {
     auto m = generateProgram(spec);
     const ExecResult before = runModule(*m);
     ASSERT_TRUE(before.ok);
-    std::vector<std::string> soup;
-    for (int i = 0; i < 20; ++i) {
-      soup.push_back(names[rng.nextBelow(names.size())]);
-    }
-    runPassSequence(*m, soup, /*verify_each=*/true);
+    runPassSequence(*m, randomSoup(names, rng, 20), /*verify_each=*/true);
     const ExecResult after = runModule(*m);
     EXPECT_EQ(before.fingerprint(), after.fingerprint()) << "trial " << trial;
   }
@@ -133,10 +152,7 @@ TEST(FuzzTest, DifferentialOracleOverRandomSequences) {
     spec.seed = 900 + static_cast<std::uint64_t>(trial);
     spec.kernels = 2;
     auto m = generateProgram(spec);
-    std::vector<std::string> soup;
-    for (int i = 0; i < 12; ++i) {
-      soup.push_back(names[rng.nextBelow(names.size())]);
-    }
+    const std::vector<std::string> soup = randomSoup(names, rng, 12);
     InstrumentOptions opts;
     opts.verify = true;
     opts.oracle = true;
@@ -144,6 +160,197 @@ TEST(FuzzTest, DifferentialOracleOverRandomSequences) {
     runPassSequence(*m, soup, instr);
     EXPECT_TRUE(instr.clean())
         << "trial " << trial << ":\n" << instr.toText();
+  }
+}
+
+// --- fast verifier == full verifier ----------------------------------------
+
+/// The full verifier, a cold FastVerifier, and \p warm (whose skip cache and
+/// analysis manager \p warm_am may hold entries for \p m's functions from
+/// earlier calls) must reach the same verdict; so must \p warm again, now
+/// skipping every function it just found clean.
+void expectVerifiersAgree(Module& m, FastVerifier& warm,
+                          AnalysisManager& warm_am, const std::string& what) {
+  const VerifyResult full = verifyModule(m);
+  AnalysisManager cold_am;
+  FastVerifier cold;
+  const VerifyResult fast = cold.verify(m, cold_am);
+  EXPECT_EQ(fast.ok(), full.ok())
+      << what << " (cold)\nfast:\n" << fast.message() << "full:\n"
+      << full.message();
+  EXPECT_EQ(warm.verify(m, warm_am).ok(), full.ok()) << what << " (warm)";
+  EXPECT_EQ(warm.verify(m, warm_am).ok(), full.ok()) << what << " (rerun)";
+}
+
+/// Replaces one %name reference in \p text with another name that occurs
+/// in it: mostly parses, and mostly breaks dominance, types or use order.
+std::string swapValueName(const std::string& text, Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> refs;  // (pos, length)
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '%') continue;
+    std::size_t j = i + 1;
+    while (j < text.size() &&
+           (std::isalnum(static_cast<unsigned char>(text[j])) ||
+            text[j] == '_' || text[j] == '.'))
+      ++j;
+    if (j > i + 1) refs.emplace_back(i, j - i);
+  }
+  if (refs.size() < 2) return text;
+  const auto [pos, len] = refs[rng.nextBelow(refs.size())];
+  const auto [from, from_len] = refs[rng.nextBelow(refs.size())];
+  std::string out = text;
+  out.replace(pos, len, text.substr(from, from_len));
+  return out;
+}
+
+TEST(VerifierEquivalenceTest, AgreeOnMutatedText) {
+  ProgramSpec spec;
+  spec.seed = 778;
+  spec.kernels = 2;
+  const std::string base = printModule(*generateProgram(spec));
+  Rng rng(404);
+  int parsed = 0;
+  int rejected_by_both = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string err;
+    auto mutant = parseModule(trial % 2 == 0 ? mutateText(base, rng)
+                                             : swapValueName(base, rng),
+                              &err);
+    if (mutant == nullptr) continue;
+    ++parsed;
+    if (!verifyModule(*mutant).ok()) ++rejected_by_both;
+    AnalysisManager am;
+    FastVerifier warm;
+    expectVerifiersAgree(*mutant, warm, am, "trial " + std::to_string(trial));
+  }
+  EXPECT_GT(parsed, 20);
+  EXPECT_GT(rejected_by_both, 0);
+}
+
+/// In-place corruptions, one per check the fast verifier implements with
+/// its dense local numbering.
+enum class Corruption {
+  None,
+  ForeignSuccessor,   // "branch to block of another function"
+  ArgUseDrift,        // use-list size mismatch on an argument
+  BlockUseDrift,      // ... on a block label
+  InstUseDrift,       // ... on an instruction result
+  UseBeforeDef,       // "use before def in block"
+  PhiMissingEdge,     // "phi missing incoming edge from"
+  DuplicatePredecessor,
+};
+constexpr Corruption kCorruptions[] = {
+    Corruption::None,          Corruption::ForeignSuccessor,
+    Corruption::ArgUseDrift,   Corruption::BlockUseDrift,
+    Corruption::InstUseDrift,  Corruption::UseBeforeDef,
+    Corruption::PhiMissingEdge, Corruption::DuplicatePredecessor};
+
+/// Applies \p c to the first site in \p m that admits it (scanning from a
+/// random function); false when no site exists.
+bool corrupt(Module& m, Corruption c, Rng& rng) {
+  std::vector<Function*> defined;
+  for (const auto& f : m.functions())
+    if (!f->isDeclaration()) defined.push_back(f.get());
+  const std::size_t start = rng.nextBelow(defined.size());
+  for (std::size_t k = 0; k < defined.size(); ++k) {
+    Function& f = *defined[(start + k) % defined.size()];
+    Function& other = *defined[(start + k + 1) % defined.size()];
+    for (const auto& b : f.blocks()) {
+      for (const auto& inst : b->insts()) {
+        Instruction* in = inst.get();
+        switch (c) {
+          case Corruption::None:
+            return true;
+          case Corruption::ForeignSuccessor:
+            if (&other == &f || in->numSuccessors() == 0) break;
+            in->setSuccessor(0, other.blocks().back().get());
+            return true;
+          case Corruption::ArgUseDrift:
+          case Corruption::BlockUseDrift:
+          case Corruption::InstUseDrift: {
+            const Value::Kind want =
+                c == Corruption::ArgUseDrift     ? Value::Kind::Argument
+                : c == Corruption::BlockUseDrift ? Value::Kind::BasicBlock
+                                                 : Value::Kind::Instruction;
+            for (std::size_t i = 0; i < in->numOperands(); ++i) {
+              if (in->operand(i)->kind() != want) continue;
+              // Re-registers the user without dropping the old entry: the
+              // use list gains a phantom slot the operands do not have.
+              in->rebindOperandForClone(i, in->operand(i));
+              return true;
+            }
+            break;
+          }
+          case Corruption::UseBeforeDef: {
+            if (in->opcode() == Opcode::Phi || in->isTerminator()) break;
+            for (Value* op : in->operands()) {
+              auto* def = dynCast<Instruction>(op);
+              if (def == nullptr || def->parent() != b.get() ||
+                  def->opcode() == Opcode::Phi)
+                continue;
+              in->moveBefore(def);
+              return true;
+            }
+            break;
+          }
+          case Corruption::PhiMissingEdge: {
+            if (in->opcode() != Opcode::Phi) break;
+            auto* phi = static_cast<PhiInst*>(in);
+            // Point one incoming entry at a block that is not a predecessor
+            // (the entry never is), keeping the entry count.
+            BasicBlock* stranger = f.entry();
+            if (b->hasPredecessor(stranger) || phi->numIncoming() == 0) break;
+            in->setOperand(1, stranger);
+            return true;
+          }
+          case Corruption::DuplicatePredecessor:
+            if (in->opcode() != Opcode::CondBr ||
+                in->successor(0) == in->successor(1))
+              break;
+            in->setSuccessor(1, in->successor(0));
+            return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(VerifierEquivalenceTest, AgreeOnCorruptedPassSoupOutputs) {
+  // Pass-soup outputs (phis, loops, calls, dead blocks) corrupted in place
+  // after a warm verifier has cached every function as clean.
+  const auto names = fuzzablePassNames();
+  Rng rng(505);
+  std::map<Corruption, int> applied;
+  std::map<Corruption, int> flagged;
+  for (int trial = 0; trial < 12; ++trial) {
+    ProgramSpec spec;
+    spec.seed = 1000 + static_cast<std::uint64_t>(trial);
+    spec.kernels = 2 + trial % 3;
+    const std::vector<std::string> soup = randomSoup(names, rng, 10);
+    for (const Corruption c : kCorruptions) {
+      auto m = generateProgram(spec);
+      runPassSequence(*m, soup);
+      AnalysisManager am;
+      FastVerifier warm;
+      const std::string what = "trial " + std::to_string(trial) +
+                               " corruption " +
+                               std::to_string(static_cast<int>(c));
+      ASSERT_TRUE(warm.verify(*m, am).ok()) << what;
+      if (!corrupt(*m, c, rng)) continue;
+      ++applied[c];
+      if (!verifyModule(*m).ok()) ++flagged[c];
+      expectVerifiersAgree(*m, warm, am, what);
+    }
+  }
+  for (const Corruption c : kCorruptions) {
+    EXPECT_GT(applied[c], 0) << static_cast<int>(c);
+    if (c == Corruption::None) {
+      EXPECT_EQ(flagged[c], 0);
+    } else if (c != Corruption::DuplicatePredecessor) {
+      // Duplicate edges are legal where the target has no phis.
+      EXPECT_GT(flagged[c], 0) << static_cast<int>(c);
+    }
   }
 }
 

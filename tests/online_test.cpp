@@ -21,13 +21,19 @@
 
 #include "core/trainer.h"
 #include "faults/injection.h"
+#include "ir/basic_block.h"
+#include "ir/function.h"
+#include "ir/instruction.h"
 #include "ir/module.h"
+#include "ir/parser.h"
 #include "online/batcher.h"
 #include "online/canary.h"
 #include "online/online_learner.h"
 #include "online/snapshot.h"
 #include "online/wal.h"
 #include "online/watchdog.h"
+#include "passes/all_passes.h"
+#include "passes/pass.h"
 #include "rl/dqn.h"
 #include "serve/service.h"
 #include "support/error.h"
@@ -633,6 +639,111 @@ TEST_F(CanaryTest, RejectsFaultingCandidateOnFaultBudget) {
   EXPECT_GT(report.candidate_faults, 0u);
   EXPECT_NE(report.reason.find("fault budget"), std::string::npos)
       << report.reason;
+}
+
+namespace {
+
+/// Stand-in for the first -Oz pass (ee-instrument) whose fault only one
+/// sandbox switch can see.
+enum class OzFault { VerifyOnly, ContractsOnly, OracleOnly };
+
+class OneSwitchFaultPass : public Pass {
+ public:
+  explicit OneSwitchFaultPass(OzFault fault) : fault_(fault) {}
+  std::string_view name() const override { return "ee-instrument"; }
+  bool run(Module& module) override {
+    Function* main_fn = module.getFunction("main");
+    BasicBlock* entry = main_fn->entry();
+    Instruction* add = entry->front();
+    // Rollouts may run this pass on an already folded module; -Oz runs it
+    // first, on the pristine add.
+    if (add->opcode() != Opcode::Add) return false;
+    switch (fault_) {
+      case OzFault::VerifyOnly:
+        // Unnamed result: a verifier error, invisible to the fingerprint
+        // (names are excluded) and to the interpreter.
+        add->setName("");
+        return true;
+      case OzFault::ContractsOnly:
+        // A dead add behind a changed=false report: verifier-clean and
+        // behaviour-preserving, but the IR changed.
+        entry->insertBefore(entry->terminator(),
+                            std::make_unique<BinaryInst>(
+                                Opcode::Add, module.types().i64(),
+                                module.i64Const(1), module.i64Const(2),
+                                "dead.lie"));
+        return false;
+      case OzFault::OracleOnly:
+        // An honest report of a behaviour change: verifier-clean, and the
+        // pass promises nothing, so only the oracle objects.
+        add->setOperand(1, module.i64Const(23));
+        return true;
+    }
+    return false;
+  }
+
+ private:
+  OzFault fault_;
+};
+
+/// Re-registers ee-instrument for one scope, restoring the real pass after.
+class ScopedEEInstrumentOverride {
+ public:
+  explicit ScopedEEInstrumentOverride(OzFault fault) {
+    registerPass("ee-instrument", [fault] {
+      return std::make_unique<OneSwitchFaultPass>(fault);
+    });
+  }
+  ~ScopedEEInstrumentOverride() {
+    registerPass("ee-instrument", createEEInstrumentPass);
+  }
+};
+
+}  // namespace
+
+TEST_F(CanaryTest, OzFloorFollowsAllThreeEnvSwitches) {
+  // The -Oz floor runs under the same sandbox switches as the serving
+  // ladder's rung (sandboxConfigFor): each injected fault excludes the
+  // module from the floor exactly when its one switch is on, whatever the
+  // raw env.sandbox switches say.
+  auto program = parseModule(R"(
+module "t"
+define @main : fn() -> i64 external {
+block e:
+  %x : i64 = add i64 20, i64 22
+  ret %x
+}
+)");
+  ASSERT_NE(program, nullptr);
+  DoubleDqn agent(cfg_);
+  CanaryConfig gate;
+  gate.oz_tolerance = 10.0;
+  gate.incumbent_tolerance = 1.0;
+  gate.max_faults = 100;
+  const struct {
+    OzFault fault;
+    int bit;
+  } cases[] = {{OzFault::VerifyOnly, 1},
+               {OzFault::ContractsOnly, 2},
+               {OzFault::OracleOnly, 4}};
+  for (const auto& c : cases) {
+    ScopedEEInstrumentOverride override_pass(c.fault);
+    for (int bits = 0; bits < 8; ++bits) {
+      EnvConfig env = env_;
+      env.verify_actions = (bits & 1) != 0;
+      env.check_contracts = (bits & 2) != 0;
+      env.oracle_actions = (bits & 4) != 0;
+      env.sandbox.verify = !env.verify_actions;
+      env.sandbox.contracts = !env.check_contracts;
+      env.sandbox.oracle = !env.oracle_actions;
+      const CanaryReport report =
+          runCanary(agent.onlineNet(), agent.onlineNet(), {program.get()}, {},
+                    actions_, env, gate);
+      const bool caught = (bits & c.bit) != 0;
+      EXPECT_EQ(report.oz_completed, caught ? 0u : 1u)
+          << "fault " << c.bit << " switches " << bits;
+    }
+  }
 }
 
 // --- online learner: recovery, persistence, rollback -----------------------
