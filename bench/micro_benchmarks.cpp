@@ -228,6 +228,25 @@ void BM_EnvStep(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvStep);
 
+// A greedy policy re-picks an action that left the IR unchanged, since it
+// sees the same state again; the environment answers such repeats from its
+// no-op memo. BM_EnvStep cycles through the actions and never repeats one.
+void BM_EnvStepRepeatedNoop(benchmark::State& state) {
+  auto m = benchProgram();
+  PhaseOrderEnv env(*m, odgSubSequences(), EnvConfig{});
+  env.reset();
+  const std::size_t action = 0;
+  // Re-apply until a run leaves the module unchanged: from then on every
+  // repeat is a proven no-op.
+  std::uint64_t before = 0;
+  do {
+    before = env.currentModule().contentStamp();
+    env.step(action);
+  } while (env.currentModule().contentStamp() != before);
+  for (auto _ : state) benchmark::DoNotOptimize(env.step(action).reward);
+}
+BENCHMARK(BM_EnvStepRepeatedNoop);
+
 void BM_DqnActAndLearn(benchmark::State& state) {
   DqnConfig cfg;
   cfg.state_dim = 300;

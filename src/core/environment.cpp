@@ -13,43 +13,34 @@ PhaseOrderEnv::PhaseOrderEnv(const Module& program,
                              EnvConfig config)
     : config_(config),
       actions_(&actions),
-      pristine_(cloneModule(program)),
+      working_(cloneModule(program)),
       size_model_(TargetInfo::forArch(config.arch)),
       mca_model_(TargetInfo::forArch(config.arch)),
       embedder_(config.embedding),
       embed_cache_(config.embed_cache),
+      noop_actions_(actions.size(), false),
       quarantine_(actions.size(), config.quarantine_threshold) {
   POSETRL_CHECK(!actions.empty(), "environment needs a non-empty action space");
-  base_size_ = size_model_.objectBytes(*pristine_);
-  base_cycles_ = mca_model_.moduleEstimate(*pristine_).weighted_cycles;
-  base_throughput_ = mca_model_.moduleEstimate(*pristine_).throughput();
+  // The working module starts out pristine: capture that content once (every
+  // reset() after the first restores it in place) and take the reward
+  // denominators and the pristine embedding key from it. reset() reuses all
+  // three, so none of these walks runs again for this environment.
+  pristine_snapshot_.capture(*working_);
+  pristine_stamp_ = working_->contentStamp();
+  base_size_ = size_model_.objectBytes(*working_);
+  const ThroughputEstimate est = mca_model_.moduleEstimate(*working_);
+  base_cycles_ = est.weighted_cycles;
+  base_throughput_ = est.throughput();
   POSETRL_CHECK(base_size_ > 0.0, "program has zero base size");
+  pristine_embed_key_ = EmbedCache::moduleHash(*working_);
+  embed_key_stamp_ = pristine_stamp_;
+  embed_key_ = pristine_embed_key_;
 }
 
 PhaseOrderEnv::~PhaseOrderEnv() = default;
 
 Embedding PhaseOrderEnv::reset() {
-  if (working_ == nullptr) {
-    // First episode: materialize the working clone once and capture its
-    // pristine content into a flat snapshot. Every later reset() restores
-    // that snapshot in place instead of cloning — same Module object, same
-    // Function/GlobalVariable objects, same interned constants.
-    working_ = cloneModule(*pristine_);
-    pristine_snapshot_.capture(*working_);
-    analysis_.invalidateAll();
-    verifier_.clearCache();
-    embed_key_valid_ = false;
-    pristine_embed_key_valid_ = false;
-    // Reward-model metrics of the pristine state, computed once: every
-    // later reset() restores bit-identical content (stamp reverts to
-    // pristine_stamp_ as the proof), so these two O(instructions) walks
-    // never run again on the reset path.
-    pristine_stamp_ = working_->contentStamp();
-    pristine_size_ = size_model_.objectBytes(*working_);
-    const ThroughputEstimate est = mca_model_.moduleEstimate(*working_);
-    pristine_cycles_ = est.weighted_cycles;
-    pristine_throughput_ = est.throughput();
-  } else {
+  if (started_) {
     const ModuleSnapshot::RestoreResult restored =
         pristine_snapshot_.restoreInto(*working_);
     // Restored blocks/instructions are new objects; the analysis cache's
@@ -61,9 +52,10 @@ Embedding PhaseOrderEnv::reset() {
     // The restore reverts the content stamp along with the content, so the
     // stamp-keyed embedding memo stays coherent — no invalidation needed.
   }
-  last_size_ = pristine_size_;
-  last_cycles_ = pristine_cycles_;
-  last_throughput_ = pristine_throughput_;
+  started_ = true;
+  last_size_ = base_size_;
+  last_cycles_ = base_cycles_;
+  last_throughput_ = base_throughput_;
   metrics_stamp_ = working_->contentStamp();
   steps_in_episode_ = 0;
   return embedWorking();
@@ -81,19 +73,11 @@ Embedding PhaseOrderEnv::embedWorking() {
   // proves the structural hash is unchanged. Only stamp changes pay the
   // O(instructions) hash walk — and nothing here ever prints the module.
   const std::uint64_t stamp = working_->contentStamp();
-  if (!embed_key_valid_ || embed_key_stamp_ != stamp) {
-    if (pristine_embed_key_valid_ && stamp == pristine_stamp_) {
-      // reset() reverted to pristine content; its key is already known.
-      embed_key_ = pristine_embed_key_;
-    } else {
-      embed_key_ = EmbedCache::moduleHash(*working_);
-      if (stamp == pristine_stamp_) {
-        pristine_embed_key_ = embed_key_;
-        pristine_embed_key_valid_ = true;
-      }
-    }
+  if (embed_key_stamp_ != stamp) {
+    // Pristine content (reset() reverted to it) has its key already.
+    embed_key_ = stamp == pristine_stamp_ ? pristine_embed_key_
+                                          : EmbedCache::moduleHash(*working_);
     embed_key_stamp_ = stamp;
-    embed_key_valid_ = true;
   }
   if (config_.state_kind == StateKind::StaticFeatures) {
     return embed_cache_.embedWithKeyed(
@@ -125,7 +109,7 @@ SandboxConfig PhaseOrderEnv::effectiveSandboxConfig() {
 }
 
 PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
-  POSETRL_CHECK(working_ != nullptr, "step() before reset()");
+  POSETRL_CHECK(started_, "step() before reset()");
   POSETRL_CHECK(index < actions_->size(), "action index out of range");
 
   // Install this environment's analysis cache as the ambient manager for
@@ -135,9 +119,25 @@ PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
   // functions the applied passes did not touch.
   AnalysisScope analysis_scope(analysis_);
 
-  if (config_.sandbox_actions) {
+  if (knownNoop(index)) {
+    // Memo hit: the action is a proven no-op on exactly this content, so the
+    // metrics and state below come from the stamp-keyed caches unchanged.
+  } else if (config_.sandbox_actions) {
+    const std::uint64_t stamp = working_->contentStamp();
+    const std::uint64_t generation = working_->irGeneration();
     SandboxOutcome out = runActionSandboxed(
         working_, (*actions_)[index].passes, effectiveSandboxConfig());
+    if (out.ok && config_.check_contracts &&
+        working_->contentStamp() == stamp) {
+      // The contract checker vouched for every pass's `changed`, so an
+      // unchanged stamp proves the action a no-op at this key.
+      if (noop_stamp_ != stamp || noop_generation_ != generation) {
+        noop_actions_.assign(noop_actions_.size(), false);
+        noop_stamp_ = stamp;
+        noop_generation_ = generation;
+      }
+      noop_actions_[index] = true;
+    }
     if (!out.ok) {
       // The sandbox already rolled the working module back in place (same
       // Module object, content stamp reverted) and handled cache hygiene:
@@ -214,30 +214,28 @@ PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
   return result;
 }
 
+bool PhaseOrderEnv::knownNoop(std::size_t index) const {
+  // An already-expired deadline goes through the sandbox, which reports it.
+  return noop_actions_[index] && noop_stamp_ == working_->contentStamp() &&
+         noop_generation_ == working_->irGeneration() &&
+         !config_.sandbox.deadline.expired();
+}
+
 double PhaseOrderEnv::currentSize() const { return last_size_; }
 double PhaseOrderEnv::currentThroughput() const { return last_throughput_; }
 
 Module& PhaseOrderEnv::workingModule() {
-  POSETRL_CHECK(working_ != nullptr, "no working module before reset()");
+  POSETRL_CHECK(started_, "workingModule() before reset()");
   // Non-const access may mutate the module behind the environment's back;
-  // bump the stamp so the embedding-key memo never serves a stale hash.
+  // bump the stamp so no stamp-keyed memo (embedding key, reward metrics,
+  // no-op steps) serves a stale result.
   working_->bumpContentStamp();
   return *working_;
 }
 
 const Module& PhaseOrderEnv::currentModule() const {
-  POSETRL_CHECK(working_ != nullptr, "no working module before reset()");
+  POSETRL_CHECK(started_, "currentModule() before reset()");
   return *working_;
-}
-
-std::uint64_t PhaseOrderEnv::programHash() {
-  if (!pristine_embed_key_valid_) {
-    // Structural hashes agree across clones, so hashing the pristine copy
-    // gives the working module's pristine key too.
-    pristine_embed_key_ = EmbedCache::moduleHash(*pristine_);
-    pristine_embed_key_valid_ = true;
-  }
-  return pristine_embed_key_;
 }
 
 }  // namespace posetrl

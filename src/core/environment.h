@@ -73,7 +73,8 @@ struct EnvConfig {
   /// Diff each pass's declared preserved analyses (Pass::preserved())
   /// against the observed IR delta; broken promises roll back with a
   /// FaultKind::ContractViolation attributed to the pass. Requires
-  /// sandbox_actions; ignored on the unsandboxed paths.
+  /// sandbox_actions; ignored on the unsandboxed paths. It is also what
+  /// lets step() skip repeats of a proven no-op action (see step()).
   bool check_contracts = true;
   /// Contain pass faults (snapshot/rollback) instead of crashing. Budgets
   /// live in `sandbox`; its verify/contracts/oracle switches are slaved to
@@ -106,8 +107,9 @@ SandboxConfig sandboxConfigFor(const EnvConfig& config);
 /// Phase-ordering environment over one program.
 class PhaseOrderEnv {
  public:
-  /// \p program is the unoptimized module; the environment keeps a pristine
-  /// copy and a flat snapshot of it, so episodes are independent.
+  /// \p program is the unoptimized module. The environment clones it once
+  /// into its working module and keeps the pristine content as a flat
+  /// snapshot, so episodes are independent.
   PhaseOrderEnv(const Module& program,
                 const std::vector<SubSequence>& actions, EnvConfig config);
   ~PhaseOrderEnv();
@@ -116,7 +118,7 @@ class PhaseOrderEnv {
   const EnvConfig& config() const { return config_; }
 
   /// Starts a fresh episode; returns the initial state. The first call
-  /// clones the pristine module; later calls restore the working module in
+  /// finds the working module still pristine; later calls restore it in
   /// place from the pristine snapshot (same Module object, same symbols),
   /// skipping the per-episode clone/destroy of the whole object graph.
   Embedding reset();
@@ -130,6 +132,24 @@ class PhaseOrderEnv {
   };
 
   /// Applies action \p index (one pass sub-sequence) to the working module.
+  ///
+  /// No-op memo: with sandbox_actions and check_contracts on, an action
+  /// whose sandboxed run left the content stamp unchanged is recorded as a
+  /// no-op at the (contentStamp, irGeneration) key it ran at. Stepping it
+  /// again at that same key skips the sandbox and returns what a re-run
+  /// would: reward 0, the cached state, no fault, quarantine untouched.
+  /// Soundness rules:
+  ///   - Keyed, never cleared: workingModule() bumps the stamp, and reset()
+  ///     and fault rollbacks restore the module and bump irGeneration, so
+  ///     every path that may change the content moves the key.
+  ///   - Only the contract checker makes "unchanged stamp" a proof of "no
+  ///     change" (without it the sandbox bumps the stamp on every run), so
+  ///     the memo is inert unless both switches are on.
+  ///   - A step whose sandbox deadline has already expired runs the sandbox,
+  ///     which reports FaultKind::DeadlineExpired as without the memo.
+  ///   - Passes are deterministic functions of the IR they run on, and the
+  ///     pass registry does not change under a live environment.
+  ///   - Bounded state: one key plus one bit per action.
   StepResult step(std::size_t index);
 
   // --- metrics of the working module ---
@@ -145,9 +165,9 @@ class PhaseOrderEnv {
   /// the stamp-keyed memos warm.
   const Module& currentModule() const;
   /// moduleContentHash of the program the environment was built on,
-  /// computed at most once (the first reset() computes it anyway as the
-  /// pristine embedding-cache key).
-  std::uint64_t programHash();
+  /// computed once at construction (it doubles as the pristine
+  /// embedding-cache key).
+  std::uint64_t programHash() const { return pristine_embed_key_; }
 
   // --- fault tolerance ---
   /// Actions currently quarantined on this program (true = masked); pass to
@@ -176,43 +196,47 @@ class PhaseOrderEnv {
   /// through the content-hash cache when enabled.
   Embedding embedWorking();
 
+  /// True when action \p index was proved a no-op at the working module's
+  /// current (contentStamp, irGeneration) key; see step().
+  bool knownNoop(std::size_t index) const;
+
   EnvConfig config_;
   const std::vector<SubSequence>* actions_;
-  std::unique_ptr<Module> pristine_;
   std::unique_ptr<Module> working_;
   SizeModel size_model_;
   McaModel mca_model_;
   Embedder embedder_;
   EmbedCache embed_cache_;
   AnalysisManager analysis_;
-  /// Flat snapshot of the working module in its pristine state, captured on
-  /// the first reset(); later resets restore it in place.
+  /// Flat snapshot of the working module in its pristine state, captured at
+  /// construction; every reset() after the first restores it in place.
   ModuleSnapshot pristine_snapshot_;
+  bool started_ = false;  ///< reset() has been called.
   /// Reusable per-step snapshot buffer handed to the sandbox
   /// (SandboxConfig::snapshot_scratch), so capture reuses flat-buffer
   /// capacity instead of re-allocating every step.
   ModuleSnapshot step_snapshot_;
   /// (contentStamp -> contentHash) memo backing O(1) embedding-cache keys:
   /// an unchanged stamp proves the structural hash is unchanged, so repeat
-  /// lookups skip even the hash walk. Invalidated when the working Module
-  /// object itself is replaced.
+  /// lookups skip even the hash walk. Starts at the pristine key.
   std::uint64_t embed_key_stamp_ = 0;
   std::uint64_t embed_key_ = 0;
-  bool embed_key_valid_ = false;
   /// Content stamp last_size_/last_cycles_/last_throughput_ were computed
   /// at: a step whose action left the stamp unchanged (contract-verified
   /// no-op) skips both reward-model walks — its true delta is zero.
   std::uint64_t metrics_stamp_ = 0;
   /// Pristine-state memos: every reset() restores the identical content, so
-  /// its reward-model metrics and embedding key are computed once on the
-  /// first episode and reused for free afterwards (the restored content
-  /// stamp equals pristine_stamp_, proving content equality).
+  /// its embedding key is computed once at construction (its reward-model
+  /// metrics are base_*) and reused for free afterwards (the restored
+  /// content stamp equals pristine_stamp_, proving content equality).
   std::uint64_t pristine_stamp_ = 0;
-  double pristine_size_ = 0.0;
-  double pristine_cycles_ = 0.0;
-  double pristine_throughput_ = 0.0;
   std::uint64_t pristine_embed_key_ = 0;
-  bool pristine_embed_key_valid_ = false;
+  /// No-op memo (see step()): noop_actions_[a] means action a was proved a
+  /// no-op at (noop_stamp_, noop_generation_). A step at any other key
+  /// clears the bits before recording.
+  std::uint64_t noop_stamp_ = 0;
+  std::uint64_t noop_generation_ = 0;
+  std::vector<bool> noop_actions_;
   /// Persistent fast verifier shared with every sandboxed action, so the
   /// clean-hash skip cache survives across steps; its pointer-keyed cache is
   /// cleared whenever module symbols are recreated (restore paths report

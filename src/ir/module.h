@@ -49,7 +49,7 @@ class Module {
   /// restored (not re-bumped) on snapshot rollback, so a stamp value maps
   /// to exactly one module content for the module's lifetime (the monotonic
   /// high-water counter is never rolled back). Consumers: the environment's
-  /// embedding-hash memo (O(1) cache hits).
+  /// embedding-hash, reward-model and no-op step memos (O(1) hits).
   std::uint64_t contentStamp() const { return content_stamp_; }
   void bumpContentStamp() { content_stamp_ = ++next_content_stamp_; }
 

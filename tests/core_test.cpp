@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "core/environment.h"
 #include "core/odg.h"
 #include "core/oz_sequence.h"
 #include "core/policy.h"
 #include "core/trainer.h"
+#include "faults/injection.h"
 #include "interp/interpreter.h"
 #include "ir/module.h"
 #include "ir/verifier.h"
@@ -148,6 +151,109 @@ TEST(EnvTest, ResetRestoresPristineProgram) {
   env.reset();
   EXPECT_DOUBLE_EQ(env.currentSize(), env.baseSize());
   EXPECT_LE(optimized, env.baseSize());
+}
+
+// --- the step no-op memo ---------------------------------------------------
+
+/// Never changes the IR; counts its runs, so a test sees which steps reached
+/// the sandbox and which the no-op memo answered.
+std::size_t counting_noop_runs = 0;
+
+class CountingNoopPass : public Pass {
+ public:
+  std::string_view name() const override { return "test-counting-noop"; }
+  bool run(Module&) override {
+    ++counting_noop_runs;
+    return false;
+  }
+};
+
+class NoopMemoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    registerPass("test-counting-noop",
+                 [] { return std::make_unique<CountingNoopPass>(); });
+    registerFaultInjectionPasses();
+    counting_noop_runs = 0;
+    ProgramSpec spec;
+    spec.seed = 77;
+    spec.kernels = 2;
+    program_ = generateProgram(spec);
+    actions_ = {SubSequence{1, {"test-counting-noop"}},
+                SubSequence{2, {"fault-throw"}}};
+  }
+
+  static constexpr std::size_t kNoop = 0;
+  static constexpr std::size_t kThrow = 1;
+  std::unique_ptr<Module> program_;
+  std::vector<SubSequence> actions_;
+};
+
+TEST_F(NoopMemoTest, RepeatAtSameStampRunsOnce) {
+  PhaseOrderEnv env(*program_, actions_, EnvConfig{});
+  const Embedding s0 = env.reset();
+  for (int i = 0; i < 3; ++i) {
+    const PhaseOrderEnv::StepResult sr = env.step(kNoop);
+    EXPECT_FALSE(sr.faulted);
+    EXPECT_EQ(sr.reward, 0.0);
+    EXPECT_EQ(sr.state, s0);
+  }
+  EXPECT_EQ(counting_noop_runs, 1u);
+  EXPECT_FALSE(env.actionMask()[kNoop]);
+}
+
+TEST_F(NoopMemoTest, WorkingModuleAccessForcesRerun) {
+  PhaseOrderEnv env(*program_, actions_, EnvConfig{});
+  env.reset();
+  env.step(kNoop);
+  env.workingModule();  // may mutate: bumps the stamp
+  env.step(kNoop);
+  EXPECT_EQ(counting_noop_runs, 2u);
+  env.step(kNoop);
+  EXPECT_EQ(counting_noop_runs, 2u);
+}
+
+TEST_F(NoopMemoTest, FaultRollbackForcesRerun) {
+  PhaseOrderEnv env(*program_, actions_, EnvConfig{});
+  env.reset();
+  env.step(kNoop);
+  // The rollback restores the same content (and stamp) as new objects.
+  EXPECT_TRUE(env.step(kThrow).faulted);
+  env.step(kNoop);
+  EXPECT_EQ(counting_noop_runs, 2u);
+}
+
+TEST_F(NoopMemoTest, ResetForcesRerun) {
+  PhaseOrderEnv env(*program_, actions_, EnvConfig{});
+  env.reset();
+  env.step(kNoop);
+  env.reset();  // restores the pristine content as new objects
+  env.step(kNoop);
+  EXPECT_EQ(counting_noop_runs, 2u);
+}
+
+TEST_F(NoopMemoTest, WithoutContractsNeverSkips) {
+  EnvConfig cfg;
+  cfg.check_contracts = false;
+  PhaseOrderEnv env(*program_, actions_, cfg);
+  env.reset();
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(env.step(kNoop).faulted);
+  EXPECT_EQ(counting_noop_runs, 3u);
+}
+
+TEST_F(NoopMemoTest, ExpiredDeadlineStillReportsDeadlineExpired) {
+  EnvConfig cfg;
+  cfg.sandbox.deadline = Deadline::after(std::chrono::milliseconds(300));
+  PhaseOrderEnv env(*program_, actions_, cfg);
+  env.reset();
+  ASSERT_FALSE(env.step(kNoop).faulted) << "deadline too tight for one step";
+  while (!cfg.sandbox.deadline.expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const PhaseOrderEnv::StepResult sr = env.step(kNoop);
+  EXPECT_TRUE(sr.faulted);
+  EXPECT_EQ(sr.fault.kind, FaultKind::DeadlineExpired);
+  EXPECT_FALSE(env.actionMask()[kNoop]);
 }
 
 TEST(TrainDeployTest, EndToEndImprovesOverUnoptimized) {

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "core/environment.h"
 #include "core/oz_sequence.h"
+#include "faults/injection.h"
 #include "target/size_model.h"
 #include "interp/interpreter.h"
 #include "ir/clone.h"
@@ -208,6 +213,64 @@ TEST_P(PipelineProperty, OdgSubSequenceOrderings) {
     EXPECT_EQ(before.fingerprint(), after.fingerprint())
         << "ODG ordering broke seed " << seed << " trial " << trial;
   }
+}
+
+std::vector<std::uint64_t> bitsOf(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// The environment's no-op memo is invisible: stepping random action
+/// sequences, with deliberate repeats and fault-injection actions, gives the
+/// same results as a reference environment that calls workingModule() before
+/// every step, which moves the memo key so every step runs the sandbox.
+TEST_P(PipelineProperty, EnvNoopMemoMatchesRerunningReference) {
+  const int seed = GetParam();
+  registerFaultInjectionPasses();
+  std::vector<SubSequence> actions = odgSubSequences();
+  for (const char* fault : {"fault-throw", "fault-bloat", "fault-miscompile"}) {
+    actions.push_back(
+        SubSequence{static_cast<int>(actions.size()) + 1, {fault}});
+  }
+  auto program = generateProgram(specForSeed(static_cast<std::uint64_t>(seed)));
+  PhaseOrderEnv env(*program, actions, EnvConfig{});
+  PhaseOrderEnv reference(*program, actions, EnvConfig{});
+  ASSERT_EQ(bitsOf(env.reset()), bitsOf(reference.reset()));
+
+  Rng rng(static_cast<std::uint64_t>(seed) * 977 + 3);
+  std::size_t action = 0;
+  std::size_t repeated_noops = 0;  // steps the memo may answer
+  bool last_noop = false;
+  for (int step = 0; step < 45; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                 std::to_string(step));
+    const std::size_t previous = action;
+    if (!rng.nextBool(0.6)) action = rng.nextBelow(actions.size());
+    if (action == previous && last_noop) ++repeated_noops;
+
+    const Module& m = env.currentModule();
+    const auto key = std::make_pair(m.contentStamp(), m.irGeneration());
+    reference.workingModule();
+    const PhaseOrderEnv::StepResult a = env.step(action);
+    const PhaseOrderEnv::StepResult b = reference.step(action);
+    last_noop = !a.faulted &&
+                key == std::make_pair(m.contentStamp(), m.irGeneration());
+
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.reward),
+              std::bit_cast<std::uint64_t>(b.reward));
+    EXPECT_EQ(bitsOf(a.state), bitsOf(b.state));
+    EXPECT_EQ(a.faulted, b.faulted);
+    EXPECT_EQ(a.fault.kind, b.fault.kind);
+    EXPECT_EQ(a.done, b.done);
+    if (a.done) {
+      last_noop = false;
+      ASSERT_EQ(bitsOf(env.reset()), bitsOf(reference.reset()));
+    }
+  }
+  EXPECT_EQ(printModule(env.currentModule()),
+            printModule(reference.currentModule()));
+  EXPECT_GT(repeated_noops, 0u) << "no step exercised the memo";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,
