@@ -173,8 +173,8 @@ BENCHMARK(BM_ProgramEmbedding);
 
 void BM_ProgramEmbeddingCached(benchmark::State& state) {
   // Steady-state cache hit: the cost of re-embedding an unchanged module
-  // (hash the printed form, look it up) vs BM_ProgramEmbedding's full
-  // instruction walk. This is the no-op-step / fault-rollback path of
+  // (one structural hash walk, EmbedCache::moduleHash, which never prints;
+  // then the LRU lookup) vs BM_ProgramEmbedding's full flow computation. This is the no-op-step / fault-rollback path of
   // PhaseOrderEnv with cache_embeddings on.
   auto m = benchProgram();
   Embedder e;

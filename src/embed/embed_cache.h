@@ -3,8 +3,10 @@
 /// \file embed_cache.h
 /// Content-hash cache in front of Embedder::embedProgram. Computing the
 /// 300-dim program embedding walks every instruction through several flow
-/// rounds and dominates PhaseOrderEnv::step; but many steps leave the
-/// module textually unchanged — no-op sub-sequences on already-clean IR,
+/// rounds. On e2ebench's traced `train` run (seed 1, 4-core x86-64 VM),
+/// with this cache serving 21% of steps, embedding averages 120-136 us of
+/// a 634-655 us env step, about a fifth. Many steps leave the module
+/// textually unchanged — no-op sub-sequences on already-clean IR,
 /// sandbox rollbacks after contained faults, and every reset() back to the
 /// pristine clone. Those repeats hash to a previously embedded state and
 /// skip embedProgram entirely.

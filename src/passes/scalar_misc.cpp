@@ -42,14 +42,16 @@ class SpeculativeExecutionPass : public FunctionPass {
       if (cbr == nullptr) continue;
       for (BasicBlock* succ : {cbr->thenBlock(), cbr->elseBlock()}) {
         if (succ->singlePredecessor() != bb.get()) continue;
-        changed |= hoistFrom(*succ, *bb, cbr);
+        changed |= hoistFrom(*succ, cbr);
       }
     }
     return changed;
   }
 
  private:
-  bool hoistFrom(BasicBlock& from, BasicBlock& into, Instruction* before) {
+  /// Hoists up to kMaxHoist speculatable instructions of \p from to just
+  /// before \p before (its single predecessor's branch).
+  bool hoistFrom(BasicBlock& from, Instruction* before) {
     bool changed = false;
     std::size_t hoisted = 0;
     std::vector<Instruction*> insts;

@@ -4,19 +4,31 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "embed/embed_cache.h"
 #include "embed/embedder.h"
+#include "ir/basic_block.h"
+#include "ir/function.h"
+#include "ir/global_variable.h"
+#include "ir/instruction.h"
 #include "ir/module.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "pass_soup.h"
 #include "passes/pass.h"
 #include "rl/dqn.h"
 #include "rl/matrix.h"
+#include "rl/matrix_simd.h"
 #include "rl/mlp.h"
 #include "rl/replay_buffer.h"
 #include "support/error.h"
+#include "support/rng.h"
 #include "workloads/generator.h"
 
 namespace posetrl {
@@ -76,6 +88,317 @@ TEST(EmbedderTest, DifferentProgramsDiffer) {
   auto mb = generateProgram(b);
   Embedder e;
   EXPECT_GT(l2(e.embedProgram(*ma), e.embedProgram(*mb)), 1e-3);
+}
+
+// --- reference embedder ----------------------------------------------------
+
+/// The map-based embedder the dense one replaced, kept as the executable
+/// specification of embedder.h's bit-identity contract: a symbolic vector
+/// built from strings for every instruction, a whole-map copy per flow
+/// round, pointer-keyed producer lookups, and a plain scalar accumulate.
+class ReferenceEmbedder {
+ public:
+  explicit ReferenceEmbedder(EmbeddingConfig config)
+      : config_(config), vocab_(config) {}
+
+  Embedding embedInstruction(const Instruction& inst) {
+    Embedding v(static_cast<std::size_t>(config_.dim), 0.0);
+    std::string op_entity = std::string("opcode:") + opcodeName(inst.opcode());
+    if (inst.opcode() == Opcode::ICmp) {
+      op_entity += ":";
+      op_entity +=
+          ICmpInst::predName(static_cast<const ICmpInst&>(inst).pred());
+    }
+    accumulate(v, entity(op_entity), config_.weight_opcode);
+    accumulate(v, entity("type:" + inst.type()->str()), config_.weight_type);
+    for (const Value* operand : inst.operands()) {
+      accumulate(v, entity(operandKind(*operand)), config_.weight_operand);
+    }
+    if (inst.vectorWidth() > 1) {
+      accumulate(v, entity("attr:vector"), config_.weight_type);
+    }
+    return v;
+  }
+
+  Embedding embedFunction(const Function& f) {
+    const std::size_t dim = static_cast<std::size_t>(config_.dim);
+    std::map<const Instruction*, Embedding> vec;
+    for (const auto& bb : f.blocks()) {
+      for (const auto& inst : bb->insts()) {
+        vec[inst.get()] = embedInstruction(*inst);
+      }
+    }
+    for (int round = 0; round < config_.flow_rounds; ++round) {
+      std::map<const Instruction*, Embedding> next = vec;
+      for (auto& [inst, v] : next) {
+        std::size_t producers = 0;
+        for (const Value* op : inst->operands()) {
+          if (isa<Instruction>(op)) ++producers;
+        }
+        if (producers == 0) continue;
+        const double share =
+            config_.flow_rate / static_cast<double>(producers);
+        for (const Value* op : inst->operands()) {
+          const auto* def = dynCast<Instruction>(op);
+          if (def == nullptr) continue;
+          auto it = vec.find(def);
+          if (it != vec.end()) accumulate(v, it->second, share);
+        }
+      }
+      vec = std::move(next);
+    }
+    Embedding out(dim, 0.0);
+    for (const auto& bb : f.blocks()) {
+      for (const auto& inst : bb->insts()) {
+        accumulate(out, vec.at(inst.get()), 1.0);
+      }
+    }
+    return out;
+  }
+
+  Embedding embedProgram(const Module& m) {
+    Embedding out(static_cast<std::size_t>(config_.dim), 0.0);
+    for (const auto& f : m.functions()) {
+      if (f->isDeclaration()) continue;
+      accumulate(out, embedFunction(*f), 1.0);
+    }
+    for (const auto& g : m.globals()) {
+      accumulate(out, entity("global:" + g->valueType()->str()), 0.25);
+    }
+    double norm = 0.0;
+    for (double x : out) norm += x * x;
+    norm = std::sqrt(norm);
+    if (norm > 1e-9) {
+      const double scale = std::log1p(norm) / norm;
+      for (double& x : out) x *= scale;
+    }
+    return out;
+  }
+
+ private:
+  static void accumulate(Embedding& into, const Embedding& from,
+                         double scale) {
+    for (std::size_t i = 0; i < into.size(); ++i) into[i] += scale * from[i];
+  }
+
+  static const char* operandKind(const Value& v) {
+    switch (v.kind()) {
+      case Value::Kind::ConstantInt:
+      case Value::Kind::ConstantFloat:
+      case Value::Kind::ConstantNull:
+      case Value::Kind::Undef:
+        return "operand:const";
+      case Value::Kind::Argument:
+        return "operand:arg";
+      case Value::Kind::BasicBlock:
+        return "operand:label";
+      case Value::Kind::GlobalVariable:
+        return "operand:global";
+      case Value::Kind::Function:
+        return "operand:function";
+      case Value::Kind::Instruction:
+        return "operand:var";
+    }
+    return "operand:var";
+  }
+
+  const Embedding& entity(const std::string& name) {
+    auto it = cache_.find(name);
+    if (it != cache_.end()) return it->second;
+    return cache_.emplace(name, vocab_.entityVector(name)).first->second;
+  }
+
+  EmbeddingConfig config_;
+  Embedder vocab_;  // entityVector only
+  std::map<std::string, Embedding> cache_;
+};
+
+bool sameBytes(const Embedding& a, const Embedding& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::unique_ptr<Module> parseOrFail(const std::string& text) {
+  std::string err;
+  auto m = parseModule(text, &err);
+  EXPECT_NE(m, nullptr) << err;
+  return m;
+}
+
+/// `declare @name : fn(i64 × arity) -> i64`.
+std::string declareWide(const std::string& name, int arity) {
+  std::string text = "declare @" + name + " : fn(";
+  for (int i = 0; i < arity; ++i) text += i == 0 ? "i64" : ", i64";
+  return text + ") -> i64\n";
+}
+
+/// `call @name(...)` with `arity` arguments; argument `odd` is \p odd_value,
+/// the rest constants, so calls differing only in `odd` or \p odd_value
+/// differ only in one operand kind.
+std::string callWide(const std::string& result, const std::string& name,
+                     int arity, int odd,
+                     const std::string& odd_value = "%arg1") {
+  std::string text = "  %" + result + " : i64 = call @" + name + "(";
+  for (int i = 0; i < arity; ++i) {
+    if (i > 0) text += ", ";
+    text += i == odd ? odd_value : "i64 " + std::to_string(i);
+  }
+  return text + ")\n";
+}
+
+/// Shapes generated programs rarely or never contain: every icmp
+/// predicate, vector-marked instructions, declaration-only functions, and
+/// calls right at and past the memo signature's operand capacity (21).
+std::unique_ptr<Module> signatureEdgeModule() {
+  std::string text = "module \"edges\"\n";
+  text += declareWide("w20", 20) + declareWide("w21", 21) +
+          declareWide("w24", 24);
+  text += "global @g : [4 x i64] = array [1, 2, 3, 4], internal\n";
+  text += "define @f : fn(i64, i64) -> i64 internal {\nblock e:\n";
+  int id = 0;
+  for (const char* pred : {"eq", "ne", "slt", "sle", "sgt", "sge", "ult",
+                           "ule", "ugt", "uge"}) {
+    text += "  %c" + std::to_string(id++) + " : i1 = icmp " + pred +
+            " %arg0, %arg1\n";
+  }
+  text += "  %v : i64 = add %arg0, i64 1 vec 4\n";
+  text += "  %w : i64 = mul %v, %arg1 vec 4\n";
+  text += "  %s : i64 = mul %v, %arg1\n";
+  text += callWide("a", "w20", 20, 19) + callWide("b", "w20", 20, 18);
+  // Operand kinds 1 (arg) and 5 (var) share their low bit: a signature
+  // that packed a 22nd operand would keep only that bit and collide.
+  text += callWide("c", "w21", 21, 20) + callWide("d", "w21", 21, 20, "%s");
+  text += callWide("x", "w24", 24, 3) + callWide("y", "w24", 24, 23);
+  text += "  %t0 : i64 = add %a, %b\n  %t1 : i64 = add %t0, %c\n";
+  text += "  %t2 : i64 = add %t1, %d\n  %t3 : i64 = add %t2, %x\n";
+  text += "  %t4 : i64 = add %t3, %y\n  %t5 : i64 = add %t4, %w\n";
+  text += "  %t6 : i64 = add %t5, %s\n  ret %t6\n}\n";
+  return parseOrFail(text);
+}
+
+/// Generated programs, pass-soup outputs (phis, vectorized loops, dead
+/// blocks) and the hand-written signature edge cases.
+std::vector<std::unique_ptr<Module>> referenceCorpus() {
+  std::vector<std::unique_ptr<Module>> corpus;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ProgramSpec spec;
+    spec.seed = 4000 + seed;
+    spec.kernels = 1 + static_cast<int>(seed);
+    corpus.push_back(generateProgram(spec));
+  }
+  const auto names = fuzzablePassNames();
+  Rng rng(606);
+  for (int trial = 0; trial < 8; ++trial) {
+    ProgramSpec spec;
+    spec.seed = 5000 + static_cast<std::uint64_t>(trial);
+    spec.kernels = 2 + trial % 3;
+    auto m = generateProgram(spec);
+    std::vector<std::string> soup = randomSoup(names, rng, 12);
+    if (trial % 2 == 0) {
+      // Half the soups vectorize, so vector-marked instructions flow.
+      soup.insert(soup.begin(), {"mem2reg", "loop-vectorize"});
+    }
+    runPassSequence(*m, soup);
+    corpus.push_back(std::move(m));
+  }
+  corpus.push_back(signatureEdgeModule());
+  return corpus;
+}
+
+class EmbedderReferenceTest : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::setSimdMode(simd::SimdMode::Auto); }
+
+  /// Dispatch modes this machine can run.
+  static std::vector<simd::SimdMode> modes() {
+    simd::setSimdMode(simd::SimdMode::Auto);
+    std::vector<simd::SimdMode> out = {simd::SimdMode::Scalar};
+    if (simd::avx2Active()) out.push_back(simd::SimdMode::Avx2);
+    return out;
+  }
+
+  /// embedProgram and every embedFunction of \p m equal the reference's,
+  /// byte for byte, under every dims × flow_rounds × dispatch combination.
+  static void expectMatchesReference(const std::vector<const Module*>& ms) {
+    for (const simd::SimdMode mode : modes()) {
+      simd::setSimdMode(mode);
+      for (const int dim : {300, 64, 7, 1}) {
+        for (const int rounds : {0, 1, 2, 3}) {
+          EmbeddingConfig cfg;
+          cfg.dim = dim;
+          cfg.flow_rounds = rounds;
+          Embedder e(cfg);
+          ReferenceEmbedder ref(cfg);
+          for (std::size_t i = 0; i < ms.size(); ++i) {
+            const std::string what =
+                "module " + std::to_string(i) + " dim " +
+                std::to_string(dim) + " rounds " + std::to_string(rounds) +
+                " mode " + std::to_string(static_cast<int>(mode));
+            EXPECT_TRUE(sameBytes(e.embedProgram(*ms[i]),
+                                  ref.embedProgram(*ms[i])))
+                << what;
+            for (const auto& f : ms[i]->functions()) {
+              EXPECT_TRUE(sameBytes(e.embedFunction(*f),
+                                    ref.embedFunction(*f)))
+                  << what << " @" << f->name();
+            }
+          }
+        }
+      }
+    }
+  }
+};
+
+TEST_F(EmbedderReferenceTest, MatchesReferenceAcrossConfigsAndDispatch) {
+  const auto corpus = referenceCorpus();
+  std::vector<const Module*> ms;
+  std::size_t vector_insts = 0, declarations = 0;
+  for (const auto& m : corpus) {
+    ASSERT_NE(m, nullptr);
+    ms.push_back(m.get());
+    for (const auto& f : m->functions()) {
+      if (f->isDeclaration()) ++declarations;
+      for (const auto& bb : f->blocks()) {
+        for (const auto& inst : bb->insts()) {
+          if (inst->vectorWidth() > 1) ++vector_insts;
+        }
+      }
+    }
+  }
+  // The corpus really holds the shapes the contract is about.
+  EXPECT_GT(vector_insts, 2u);
+  EXPECT_GT(declarations, 3u);
+  expectMatchesReference(ms);
+}
+
+TEST_F(EmbedderReferenceTest, ForeignProducerCountsInShareButDoesNotFlow) {
+  // An operand defined in another function (left behind by a buggy pass;
+  // the env embeds before the verifier rejects it) is no flow source, but
+  // still counts in share's divisor.
+  auto m = parseOrFail(R"(
+module "foreign"
+define @h : fn(i64) -> i64 internal {
+block e:
+  %p : i64 = mul %arg0, i64 3
+  ret %p
+}
+define @f : fn(i64) -> i64 internal {
+block e:
+  %a : i64 = add %arg0, i64 1
+  %b : i64 = add %a, %arg0
+  %c : i64 = sub %b, %a
+  ret %c
+}
+)");
+  ASSERT_NE(m, nullptr);
+  Instruction* foreign = m->getFunction("h")->entry()->insts().front().get();
+  Instruction* b = nullptr;
+  for (const auto& inst : m->getFunction("f")->entry()->insts()) {
+    if (inst->name() == "b") b = inst.get();
+  }
+  ASSERT_NE(b, nullptr);
+  b->setOperand(1, foreign);
+  expectMatchesReference({m.get()});
 }
 
 TEST(MatrixTest, MatVec) {

@@ -24,29 +24,13 @@
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "lint/instrumentation.h"
+#include "pass_soup.h"
 #include "passes/pass.h"
 #include "support/rng.h"
 #include "workloads/generator.h"
 
 namespace posetrl {
 namespace {
-
-/// Real optimization passes only, in a deterministic order: the registry is
-/// an unordered map that other tests extend with deliberately broken
-/// "test-*" / "fault-*" passes, and a single-process run of the whole
-/// binary would otherwise leak those into the fuzz soup (and reorder it
-/// run-to-run under ASLR).
-std::vector<std::string> fuzzablePassNames() {
-  std::vector<std::string> names = allPassNames();
-  names.erase(std::remove_if(names.begin(), names.end(),
-                             [](const std::string& n) {
-                               return n.rfind("fault-", 0) == 0 ||
-                                      n.rfind("test-", 0) == 0;
-                             }),
-              names.end());
-  std::sort(names.begin(), names.end());
-  return names;
-}
 
 /// 1-4 random byte-level edits of \p text: substitution, deletion, or
 /// duplication.
@@ -67,15 +51,6 @@ std::string mutateText(std::string text, Rng& rng) {
     }
   }
   return text;
-}
-
-/// \p count passes drawn uniformly from \p names.
-std::vector<std::string> randomSoup(const std::vector<std::string>& names,
-                                    Rng& rng, int count) {
-  std::vector<std::string> soup;
-  for (int i = 0; i < count; ++i)
-    soup.push_back(names[rng.nextBelow(names.size())]);
-  return soup;
 }
 
 TEST(FuzzTest, MutatedTextNeverCrashesParser) {

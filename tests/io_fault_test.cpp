@@ -506,9 +506,11 @@ void checkCrashPoint(std::size_t crash_at, double partial_write,
 
 /// Counts the syscalls the un-faulted scenario issues, so the enumeration
 /// below provably covers every boundary (plus one control point past the
-/// end where nothing fails).
-std::size_t scenarioOpCount() {
-  const std::string dir = freshDir("crash_trace");
+/// end where nothing fails). \p dir_name must be private to the calling
+/// test: ctest runs the tests as concurrent processes, and two of them
+/// sharing one directory delete it under each other.
+std::size_t scenarioOpCount(const std::string& dir_name) {
+  const std::string dir = freshDir(dir_name);
   DoubleDqn agent(tinyDqnConfig());
   const PolicySnapshot incumbent(1, 0, agent.onlineNet());
   savePolicySnapshotFile(dir, incumbent);
@@ -521,7 +523,7 @@ std::size_t scenarioOpCount() {
 }
 
 TEST(CrashConsistencyTest, EveryCrashPointRecovers) {
-  const std::size_t total_ops = scenarioOpCount();
+  const std::size_t total_ops = scenarioOpCount("crash_pt_trace");
   ASSERT_GT(total_ops, 20u) << "scenario lost its syscall coverage";
   for (std::size_t crash_at = 0; crash_at <= total_ops; ++crash_at) {
     checkCrashPoint(crash_at, /*partial_write=*/0.0,
@@ -533,7 +535,7 @@ TEST(CrashConsistencyTest, EveryCrashPointRecoversWithTornWrite) {
   // Same enumeration, but a Write landing on the crash point goes through
   // half-finished first — the power-loss-mid-write variant. Every write
   // boundary in the scenario is thereby exercised as a torn frame.
-  const std::size_t total_ops = scenarioOpCount();
+  const std::size_t total_ops = scenarioOpCount("crash_torn_trace");
   for (std::size_t crash_at = 0; crash_at <= total_ops; ++crash_at) {
     checkCrashPoint(crash_at, /*partial_write=*/0.5,
                     freshDir("crash_torn_" + std::to_string(crash_at)));

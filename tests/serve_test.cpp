@@ -256,7 +256,9 @@ TEST(PolicyFaultTest, QuarantineMaskRoutesAroundFaultingAction) {
   }
   EXPECT_LE(faulting_picks, 2u);
   EXPECT_EQ(rollout.faults, faulting_picks);
-  if (faulting_picks == 2) EXPECT_EQ(rollout.quarantined, 1u);
+  if (faulting_picks == 2) {
+    EXPECT_EQ(rollout.quarantined, 1u);
+  }
   const auto vr = verifyModule(*rollout.optimized);
   EXPECT_TRUE(vr.ok()) << vr.message();
 }

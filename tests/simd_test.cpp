@@ -2,22 +2,28 @@
 // (rl/matrix_simd.h): forced-scalar and forced-AVX2 runs must produce
 // byte-identical results for every op(A)*op(B) shape, including dimensions
 // that are not multiples of the vector width, accumulation onto non-zero
-// C, the TN path's sparse-row skipping, and the matVec twin. The trainer's
-// run-twice/checkpoint byte-identity across heterogeneous machines depends
-// on these kernels never diverging.
+// C, the TN path's sparse-row skipping, and the matVec twin; a whole
+// training run, which also dispatches in the embedder, must not diverge
+// either. The trainer's run-twice/checkpoint byte-identity across
+// heterogeneous machines depends on these kernels never diverging.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/trainer.h"
+#include "ir/module.h"
 #include "rl/matrix.h"
 #include "rl/matrix_simd.h"
 #include "rl/mlp.h"
 #include "support/rng.h"
+#include "workloads/generator.h"
+#include "workloads/suites.h"
 
 namespace posetrl {
 namespace {
@@ -229,6 +235,42 @@ TEST_F(SimdTest, MlpAdamTrainingBitIdenticalAcrossDispatch) {
   const std::string scalar_state = run(simd::SimdMode::Scalar);
   const std::string avx2_state = run(simd::SimdMode::Avx2);
   EXPECT_EQ(scalar_state, avx2_state);
+}
+
+TEST_F(SimdTest, TrainAgentBitIdenticalAcrossDispatch) {
+  if (!haveAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  // End to end over every dispatching layer a training step runs: the
+  // embedder's accumulates (the RL state) and the learner's GEMM + Adam.
+  // A short epsilon decay puts greedy, Q-value-driven actions in the
+  // trajectory, so any divergence in a state vector changes what follows.
+  const SuiteSpec suite = trainingCorpus();
+  std::vector<std::unique_ptr<Module>> storage;
+  std::vector<const Module*> corpus;
+  for (const ProgramSpec& spec : suite.programs) {
+    if (spec.kernels > 3) continue;
+    storage.push_back(generateProgram(spec));
+    corpus.push_back(storage.back().get());
+    if (corpus.size() == 4) break;
+  }
+  ASSERT_EQ(corpus.size(), 4u);
+  auto run = [&](simd::SimdMode mode) {
+    simd::setSimdMode(mode);
+    TrainConfig cfg;
+    cfg.total_steps = 300;
+    cfg.agent.epsilon_decay_steps = 200;
+    const TrainResult result = trainAgent(corpus, cfg);
+    EXPECT_GT(result.stats.episodes, 10u);
+    const std::vector<double>& rewards = result.stats.episode_rewards;
+    std::ostringstream os;
+    os.write(reinterpret_cast<const char*>(rewards.data()),
+             static_cast<std::streamsize>(rewards.size() * sizeof(double)));
+    result.agent->saveModel(os);
+    return os.str();
+  };
+  const std::string scalar_run = run(simd::SimdMode::Scalar);
+  const std::string avx2_run = run(simd::SimdMode::Avx2);
+  EXPECT_TRUE(scalar_run == avx2_run)
+      << "episode rewards or saved model differ across dispatch paths";
 }
 
 TEST_F(SimdTest, ResultsStayCloseToNaiveReference) {
