@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "analysis/analysis_manager.h"
 #include "analysis/dominators.h"
 #include "analysis/fast_verifier.h"
@@ -22,8 +25,10 @@
 #include "ir/module.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "ir/snapshot.h"
 #include "passes/pass.h"
 #include "rl/dqn.h"
+#include "support/arena.h"
 #include "target/mca_model.h"
 #include "target/size_model.h"
 #include "workloads/generator.h"
@@ -49,14 +54,62 @@ void BM_GenerateProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateProgram);
 
+// The three copy paths; items/s is instructions copied per second, so
+// 1e9 / items_per_second is ns/instr.
 void BM_CloneModule(benchmark::State& state) {
   auto m = benchProgram();
   for (auto _ : state) {
     auto c = cloneModule(*m);
     benchmark::DoNotOptimize(c.get());
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(m->instructionCount()));
 }
 BENCHMARK(BM_CloneModule);
+
+void BM_InstructionClone(benchmark::State& state) {
+  auto m = benchProgram();
+  std::vector<Instruction*> insts;
+  for (const auto& f : m->functions())
+    for (const auto& bb : f->blocks())
+      for (const auto& inst : bb->insts()) insts.push_back(inst.get());
+  ArenaScope scope(m->arena());
+  for (auto _ : state) {
+    for (Instruction* inst : insts) {
+      std::unique_ptr<Instruction> c(inst->clone());
+      c->dropAllOperands();
+      benchmark::DoNotOptimize(c.get());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(insts.size()));
+}
+BENCHMARK(BM_InstructionClone);
+
+void BM_SnapshotCapture(benchmark::State& state) {
+  auto m = benchProgram();
+  ModuleSnapshot snap;  // reused, as the sandbox's scratch snapshot is
+  for (auto _ : state) {
+    snap.capture(*m);
+    benchmark::DoNotOptimize(snap.instructionCount());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(m->instructionCount()));
+}
+BENCHMARK(BM_SnapshotCapture);
+
+void BM_SnapshotRestore(benchmark::State& state) {
+  auto m = benchProgram();
+  ModuleSnapshot snap;
+  snap.capture(*m);
+  for (auto _ : state) {
+    snap.restoreInto(*m);
+    benchmark::DoNotOptimize(m.get());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(m->instructionCount()));
+}
+BENCHMARK(BM_SnapshotRestore);
 
 // The serve path's -Oz memo hit: one print of the request (text equality)
 // and, when -Oz wins, one parse of the stored output.

@@ -120,37 +120,9 @@ FunctionFingerprint fingerprintFunction(const Function& f,
         aux = hashCombine(aux, inst->numUses());
         aux = hashCombine(aux, inst->name().empty() ? 0u : 1u);
       }
-      h = hashCombine(h, static_cast<std::uint64_t>(inst->opcode()));
-      h = hashCombine(h, hashType(inst->type()));
+      h = hashInstAttrs(h, inst->attrs());
       h = hashCombine(h, inst->numOperands());
       for (const Value* op : inst->operands()) h = hashCombine(h, valueId(op));
-      if (inst->vectorWidth() != 1) h = hashCombine(h, inst->vectorWidth());
-      switch (inst->opcode()) {
-        case Opcode::Alloca:
-          h = hashCombine(h, hashType(cast<AllocaInst>(inst.get())
-                                          ->allocatedType()));
-          break;
-        case Opcode::Load:
-          h = hashCombine(h, cast<LoadInst>(inst.get())->alignment());
-          break;
-        case Opcode::Store:
-          h = hashCombine(h, cast<StoreInst>(inst.get())->alignment());
-          break;
-        case Opcode::Gep:
-          h = hashCombine(h, hashType(cast<GepInst>(inst.get())
-                                          ->sourceElement()));
-          break;
-        case Opcode::ICmp:
-          h = hashCombine(h, static_cast<std::uint64_t>(
-                                 cast<ICmpInst>(inst.get())->pred()));
-          break;
-        case Opcode::FCmp:
-          h = hashCombine(h, static_cast<std::uint64_t>(
-                                 cast<FCmpInst>(inst.get())->pred()));
-          break;
-        default:
-          break;
-      }
     }
   }
   fp.instrs = h;

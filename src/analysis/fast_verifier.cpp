@@ -177,15 +177,17 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
       const DominatorTree& dt = am.dominators(f);
       gen = numberLocals();
       for (const auto& b : f.blocks()) {
-        if (!dt.isReachable(b.get())) continue;
+        const bool live = dt.isReachable(b.get());
         for (const auto& inst : b->insts()) {
           for (std::size_t oi = 0; oi < inst->numOperands(); ++oi) {
             auto* def = dynCast<Instruction>(inst->operand(oi));
             if (def == nullptr) continue;
+            // Checked in unreachable blocks too, as the full verifier does.
             if (def->parent() == nullptr || def->parent()->parent() != &f) {
               error(result, f, "operand from another function");
               continue;
             }
+            if (!live) continue;
             if (inst->opcode() == Opcode::Phi) {
               if (oi % 2 != 0) continue;  // Block operands.
               auto* phi = static_cast<PhiInst*>(inst.get());

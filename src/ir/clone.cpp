@@ -40,138 +40,21 @@ Type* mapType(TypeContext& dst, const Type* src) {
 
 namespace {
 
-/// Maps an operand into the destination module: vmap entries win; constants
-/// are re-interned; everything else must have been mapped already.
-Value* mapOperandCrossModule(Module& dst, const ValueMap& vmap,
-                             const Value* v) {
-  auto it = vmap.find(v);
-  if (it != vmap.end()) return it->second;
-  switch (v->kind()) {
-    case Value::Kind::ConstantInt: {
-      const auto* c = static_cast<const ConstantInt*>(v);
-      return dst.constantInt(mapType(dst.types(), c->type()), c->value());
-    }
+/// \p dst's interned twin of the constant \p c of another module.
+Value* importConstant(Module& dst, const Value* c) {
+  switch (c->kind()) {
+    case Value::Kind::ConstantInt:
+      return dst.constantInt(mapType(dst.types(), c->type()),
+                             static_cast<const ConstantInt*>(c)->value());
     case Value::Kind::ConstantFloat:
-      return dst.constantFloat(
-          static_cast<const ConstantFloat*>(v)->value());
+      return dst.constantFloat(static_cast<const ConstantFloat*>(c)->value());
     case Value::Kind::ConstantNull:
-      return dst.nullConst(mapType(dst.types(), v->type()));
+      return dst.nullConst(mapType(dst.types(), c->type()));
     case Value::Kind::Undef:
-      return dst.undef(mapType(dst.types(), v->type()));
+      return dst.undef(mapType(dst.types(), c->type()));
     default:
       POSETRL_UNREACHABLE("unmapped value during module clone");
   }
-}
-
-/// Re-creates \p inst with destination-context types. Operands are left as
-/// source-module pointers; the caller remaps them afterwards. Successor
-/// blocks must already exist in \p vmap (they are remapped later too).
-Instruction* recreateInstruction(Module& dst, const Instruction& inst) {
-  TypeContext& tc = dst.types();
-  Type* ty = mapType(tc, inst.type());
-  const std::string& name = inst.name();
-  Instruction* out = nullptr;
-  switch (inst.opcode()) {
-    case Opcode::Alloca: {
-      const auto& a = static_cast<const AllocaInst&>(inst);
-      out = new AllocaInst(ty, mapType(tc, a.allocatedType()), name);
-      break;
-    }
-    case Opcode::Load: {
-      const auto& l = static_cast<const LoadInst&>(inst);
-      auto* n = new LoadInst(ty, l.pointer(), name);
-      n->setAlignment(l.alignment());
-      out = n;
-      break;
-    }
-    case Opcode::Store: {
-      const auto& s = static_cast<const StoreInst&>(inst);
-      auto* n = new StoreInst(ty, s.value(), s.pointer());
-      n->setAlignment(s.alignment());
-      out = n;
-      break;
-    }
-    case Opcode::Gep: {
-      const auto& g = static_cast<const GepInst&>(inst);
-      std::vector<Value*> indices;
-      for (std::size_t i = 0; i < g.numIndices(); ++i) {
-        indices.push_back(g.index(i));
-      }
-      out = new GepInst(ty, mapType(tc, g.sourceElement()), g.base(),
-                        std::move(indices), name);
-      break;
-    }
-    case Opcode::Phi: {
-      const auto& p = static_cast<const PhiInst&>(inst);
-      auto* n = new PhiInst(ty, name);
-      for (std::size_t i = 0; i < p.numIncoming(); ++i) {
-        n->addIncoming(p.incomingValue(i), p.incomingBlock(i));
-      }
-      out = n;
-      break;
-    }
-    case Opcode::Call: {
-      const auto& c = static_cast<const CallInst&>(inst);
-      std::vector<Value*> args;
-      for (std::size_t i = 0; i < c.numArgs(); ++i) args.push_back(c.arg(i));
-      out = new CallInst(ty, c.callee(), std::move(args), name);
-      break;
-    }
-    case Opcode::Ret: {
-      const auto& r = static_cast<const RetInst&>(inst);
-      out = new RetInst(ty, r.hasValue() ? r.value() : nullptr);
-      break;
-    }
-    case Opcode::Br:
-      out = new BrInst(ty, inst.successor(0));
-      break;
-    case Opcode::CondBr: {
-      const auto& b = static_cast<const CondBrInst&>(inst);
-      out = new CondBrInst(ty, b.condition(), b.thenBlock(), b.elseBlock());
-      break;
-    }
-    case Opcode::Switch: {
-      const auto& s = static_cast<const SwitchInst&>(inst);
-      auto* n = new SwitchInst(ty, s.condition(), s.defaultBlock());
-      for (std::size_t i = 0; i < s.numCases(); ++i) {
-        n->addCase(s.caseValue(i), s.caseBlock(i));
-      }
-      out = n;
-      break;
-    }
-    case Opcode::Unreachable:
-      out = new UnreachableInst(ty);
-      break;
-    case Opcode::Select: {
-      const auto& s = static_cast<const SelectInst&>(inst);
-      out = new SelectInst(ty, s.condition(), s.trueValue(), s.falseValue(),
-                           name);
-      break;
-    }
-    case Opcode::ICmp: {
-      const auto& c = static_cast<const ICmpInst&>(inst);
-      out = new ICmpInst(ty, c.pred(), c.lhs(), c.rhs(), name);
-      break;
-    }
-    case Opcode::FCmp: {
-      const auto& c = static_cast<const FCmpInst&>(inst);
-      out = new FCmpInst(ty, c.pred(), c.lhs(), c.rhs(), name);
-      break;
-    }
-    default: {
-      if (inst.isBinaryOp()) {
-        out = new BinaryInst(inst.opcode(), ty, inst.operand(0),
-                             inst.operand(1), name);
-      } else if (inst.isCast()) {
-        out = new CastInst(inst.opcode(), ty, inst.operand(0), name);
-      } else {
-        POSETRL_UNREACHABLE("unhandled opcode in recreateInstruction");
-      }
-      break;
-    }
-  }
-  out->setVectorWidth(inst.vectorWidth());
-  return out;
 }
 
 }  // namespace
@@ -205,8 +88,14 @@ std::unique_ptr<Module> cloneModule(const Module& src) {
     vmap[g.get()] = ng;
   }
 
-  // Pass 2: clone bodies — blocks first, then instructions with original
-  // operand pointers, then a remap sweep.
+  // Pass 2: clone bodies — blocks first, then every instruction with
+  // unbound operand slots (operands may be forward references), then a
+  // bind sweep through the value map. Only destination values are ever
+  // bound, so the source is only read: it may be shared with other threads
+  // cloning it concurrently (e.g. one serving request fanned out across
+  // workers).
+  TypeContext& tc = dst->types();
+  std::vector<Instruction*> new_insts;
   for (const auto& f : src.functions()) {
     if (f->isDeclaration()) continue;
     Function* nf = cast<Function>(vmap.at(f.get()));
@@ -215,27 +104,31 @@ std::unique_ptr<Module> cloneModule(const Module& src) {
       nb->setName(bb->name());  // Keep the exact original label.
       vmap[bb.get()] = nb;
     }
-    std::vector<Instruction*> new_insts;
-    {
-      // The clones are built holding source-module operand pointers;
-      // suspend user registration so construction never mutates the source
-      // — it may be shared with other threads cloning it concurrently
-      // (e.g. one serving request fanned out across workers).
-      UserTrackingSuspender suspend;
-      for (const auto& bb : f->blocks()) {
-        auto* nb = cast<BasicBlock>(vmap.at(bb.get()));
-        for (const auto& inst : bb->insts()) {
-          Instruction* cloned = recreateInstruction(*dst, *inst);
-          nb->pushBack(std::unique_ptr<Instruction>(cloned));
-          vmap[inst.get()] = cloned;
-          new_insts.push_back(cloned);
+    new_insts.clear();
+    for (const auto& bb : f->blocks()) {
+      auto* nb = cast<BasicBlock>(vmap.at(bb.get()));
+      for (const auto& inst : bb->insts()) {
+        InstAttrs attrs = inst->attrs();
+        attrs.type = mapType(tc, attrs.type);
+        if (attrs.extra_type != nullptr) {
+          attrs.extra_type = mapType(tc, attrs.extra_type);
         }
+        Instruction* cloned = nb->pushBack(
+            Instruction::create(attrs, inst->name(), inst->numOperands()));
+        vmap[inst.get()] = cloned;
+        new_insts.push_back(cloned);
       }
     }
-    for (Instruction* inst : new_insts) {
-      for (std::size_t i = 0; i < inst->numOperands(); ++i) {
-        inst->rebindOperandForClone(
-            i, mapOperandCrossModule(*dst, vmap, inst->operand(i)));
+    std::size_t ci = 0;
+    for (const auto& bb : f->blocks()) {
+      for (const auto& inst : bb->insts()) {
+        Instruction* cloned = new_insts[ci++];
+        for (std::size_t i = 0; i < inst->numOperands(); ++i) {
+          const Value* op = inst->operand(i);
+          auto it = vmap.find(op);
+          cloned->bindOperand(
+              i, it != vmap.end() ? it->second : importConstant(*dst, op));
+        }
       }
     }
     // The names were copied verbatim, so the counters must be too (the

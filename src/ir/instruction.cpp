@@ -60,13 +60,99 @@ const char* opcodeName(Opcode op) {
   POSETRL_UNREACHABLE("bad opcode");
 }
 
-Instruction::Instruction(Opcode opcode, Type* type, std::string name,
-                         std::vector<Value*> operands)
-    : Value(Kind::Instruction, type, std::move(name)), opcode_(opcode) {
-  for (Value* v : operands) appendOperand(v);
+Instruction::Instruction(const InstAttrs& attrs, std::string name,
+                         std::size_t num_operands)
+    : Value(Kind::Instruction, attrs.type, std::move(name)),
+      extra_type_(attrs.extra_type),
+      pred_(attrs.pred),
+      align_(attrs.align),
+      opcode_(attrs.opcode),
+      vector_width_(attrs.vector_width),
+      operands_(num_operands, nullptr) {}
+
+Instruction::Instruction(const InstAttrs& attrs, std::string name,
+                         std::initializer_list<Value*> operands)
+    : Instruction(attrs, std::move(name), operands.size()) {
+  std::size_t i = 0;
+  for (Value* v : operands) bindOperand(i++, v);
 }
 
 Instruction::~Instruction() = default;
+
+std::unique_ptr<Instruction> Instruction::create(const InstAttrs& attrs,
+                                                 std::string name,
+                                                 std::size_t num_operands) {
+  Instruction* inst = nullptr;
+  const Opcode op = attrs.opcode;
+  switch (op) {
+    case Opcode::Alloca:
+      inst = new AllocaInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Load:
+      inst = new LoadInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Store:
+      inst = new StoreInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Gep:
+      inst = new GepInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Ret:
+      inst = new RetInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Br:
+      inst = new BrInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::CondBr:
+      inst = new CondBrInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Switch:
+      inst = new SwitchInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Unreachable:
+      inst = new UnreachableInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Phi:
+      inst = new PhiInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Call:
+      inst = new CallInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::Select:
+      inst = new SelectInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::ICmp:
+      inst = new ICmpInst(attrs, std::move(name), num_operands);
+      break;
+    case Opcode::FCmp:
+      inst = new FCmpInst(attrs, std::move(name), num_operands);
+      break;
+    default:
+      if (op >= Opcode::Add && op <= Opcode::FDiv) {
+        inst = new BinaryInst(attrs, std::move(name), num_operands);
+      } else {
+        inst = new CastInst(attrs, std::move(name), num_operands);
+      }
+      break;
+  }
+  return std::unique_ptr<Instruction>(inst);
+}
+
+void Instruction::bindOperand(std::size_t i, Value* v) {
+  POSETRL_CHECK(i < operands_.size() && operands_[i] == nullptr,
+                "binding an out-of-range or already bound operand slot");
+  POSETRL_CHECK(v != nullptr, "null operand");
+  operands_[i] = v;
+  v->addUser(this);
+}
+
+Instruction* Instruction::clone() const {
+  std::unique_ptr<Instruction> c = create(attrs(), name(), operands_.size());
+  for (std::size_t i = 0; i < operands_.size(); ++i) {
+    c->bindOperand(i, operands_[i]);
+  }
+  return c.release();
+}
 
 Function* Instruction::function() const {
   return parent_ ? parent_->parent() : nullptr;
@@ -76,13 +162,6 @@ void Instruction::setOperand(std::size_t i, Value* v) {
   POSETRL_CHECK(i < operands_.size(), "operand index out of range");
   POSETRL_CHECK(v != nullptr, "null operand");
   operands_[i]->removeUser(this);
-  operands_[i] = v;
-  v->addUser(this);
-}
-
-void Instruction::rebindOperandForClone(std::size_t i, Value* v) {
-  POSETRL_CHECK(i < operands_.size(), "operand index out of range");
-  POSETRL_CHECK(v != nullptr, "null operand");
   operands_[i] = v;
   v->addUser(this);
 }
@@ -100,7 +179,9 @@ void Instruction::removeOperandAt(std::size_t i) {
 }
 
 void Instruction::dropAllOperands() {
-  for (Value* v : operands_) v->removeUser(this);
+  for (Value* v : operands_) {
+    if (v != nullptr) v->removeUser(this);
+  }
   operands_.clear();
 }
 
@@ -289,35 +370,16 @@ void Instruction::setSuccessor(std::size_t i, BasicBlock* block) {
   }
 }
 
-// --- clone() implementations ---
-
-Instruction* AllocaInst::clone() const {
-  auto* c = new AllocaInst(type(), allocated_, name());
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* LoadInst::clone() const {
-  auto* c = new LoadInst(type(), pointer(), name());
-  c->setAlignment(align_);
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* StoreInst::clone() const {
-  auto* c = new StoreInst(type(), value(), pointer());
-  c->setAlignment(align_);
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* GepInst::clone() const {
-  std::vector<Value*> indices;
-  for (std::size_t i = 0; i < numIndices(); ++i) indices.push_back(index(i));
-  auto* c = new GepInst(type(), source_elem_, base(), std::move(indices),
-                        name());
-  copyMetaTo(c);
-  return c;
+GepInst::GepInst(Type* result_ptr, Type* source_elem, Value* base,
+                 std::vector<Value*> indices, std::string name)
+    : Instruction({.opcode = Opcode::Gep,
+                   .type = result_ptr,
+                   .extra_type = source_elem},
+                  std::move(name), indices.size() + 1) {
+  bindOperand(0, base);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    bindOperand(i + 1, indices[i]);
+  }
 }
 
 bool GepInst::hasAllConstantIndices() const {
@@ -372,65 +434,35 @@ Value* PhiInst::uniformValue() const {
   return uniform;
 }
 
-Instruction* PhiInst::clone() const {
-  auto* c = new PhiInst(type(), name());
-  for (std::size_t i = 0; i < numIncoming(); ++i) {
-    c->addIncoming(incomingValue(i), incomingBlock(i));
-  }
-  copyMetaTo(c);
-  return c;
-}
-
 CallInst::CallInst(Type* result, Value* callee, std::vector<Value*> args,
                    std::string name)
-    : Instruction(Opcode::Call, result, std::move(name), {}) {
-  appendOperand(callee);
-  for (Value* a : args) appendOperand(a);
+    : Instruction({.opcode = Opcode::Call, .type = result}, std::move(name),
+                  args.size() + 1) {
+  bindOperand(0, callee);
+  for (std::size_t i = 0; i < args.size(); ++i) bindOperand(i + 1, args[i]);
 }
 
 Function* CallInst::calledFunction() const {
   return dynCast<Function>(callee());
 }
 
-Instruction* CallInst::clone() const {
-  std::vector<Value*> args;
-  for (std::size_t i = 0; i < numArgs(); ++i) args.push_back(arg(i));
-  auto* c = new CallInst(type(), callee(), std::move(args), name());
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* RetInst::clone() const {
-  auto* c = new RetInst(type(), hasValue() ? value() : nullptr);
-  copyMetaTo(c);
-  return c;
+RetInst::RetInst(Type* void_type, Value* value)
+    : Instruction({.opcode = Opcode::Ret, .type = void_type}, "",
+                  value != nullptr ? 1 : 0) {
+  if (value != nullptr) bindOperand(0, value);
 }
 
 BrInst::BrInst(Type* void_type, BasicBlock* target)
-    : Instruction(Opcode::Br, void_type, "",
-                  {static_cast<Value*>(target)}) {}
-
-Instruction* BrInst::clone() const {
-  auto* c = new BrInst(type(), target());
-  copyMetaTo(c);
-  return c;
-}
+    : Instruction({.opcode = Opcode::Br, .type = void_type}, "", {target}) {}
 
 CondBrInst::CondBrInst(Type* void_type, Value* cond, BasicBlock* then_block,
                        BasicBlock* else_block)
-    : Instruction(Opcode::CondBr, void_type, "",
-                  {cond, static_cast<Value*>(then_block),
-                   static_cast<Value*>(else_block)}) {}
-
-Instruction* CondBrInst::clone() const {
-  auto* c = new CondBrInst(type(), condition(), thenBlock(), elseBlock());
-  copyMetaTo(c);
-  return c;
-}
+    : Instruction({.opcode = Opcode::CondBr, .type = void_type}, "",
+                  {cond, then_block, else_block}) {}
 
 SwitchInst::SwitchInst(Type* void_type, Value* cond, BasicBlock* default_block)
-    : Instruction(Opcode::Switch, void_type, "",
-                  {cond, static_cast<Value*>(default_block)}) {}
+    : Instruction({.opcode = Opcode::Switch, .type = void_type}, "",
+                  {cond, default_block}) {}
 
 BasicBlock* SwitchInst::defaultBlock() const {
   return cast<BasicBlock>(operand(1));
@@ -455,34 +487,6 @@ void SwitchInst::removeCase(std::size_t i) {
   POSETRL_CHECK(i < numCases(), "case index out of range");
   removeOperandAt(3 + 2 * i);
   removeOperandAt(2 + 2 * i);
-}
-
-Instruction* SwitchInst::clone() const {
-  auto* c = new SwitchInst(type(), condition(), defaultBlock());
-  for (std::size_t i = 0; i < numCases(); ++i) {
-    c->addCase(caseValue(i), caseBlock(i));
-  }
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* UnreachableInst::clone() const {
-  auto* c = new UnreachableInst(type());
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* SelectInst::clone() const {
-  auto* c = new SelectInst(type(), condition(), trueValue(), falseValue(),
-                           name());
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* BinaryInst::clone() const {
-  auto* c = new BinaryInst(opcode(), type(), lhs(), rhs(), name());
-  copyMetaTo(c);
-  return c;
 }
 
 ICmpInst::Pred ICmpInst::swapped(Pred p) {
@@ -554,12 +558,6 @@ bool ICmpInst::evaluate(Pred p, std::int64_t lhs, std::int64_t rhs,
   POSETRL_UNREACHABLE("bad icmp predicate");
 }
 
-Instruction* ICmpInst::clone() const {
-  auto* c = new ICmpInst(type(), pred_, lhs(), rhs(), name());
-  copyMetaTo(c);
-  return c;
-}
-
 const char* FCmpInst::predName(Pred p) {
   switch (p) {
     case Pred::OEQ: return "oeq";
@@ -582,18 +580,6 @@ bool FCmpInst::evaluate(Pred p, double lhs, double rhs) {
     case Pred::OGE: return lhs >= rhs;
   }
   POSETRL_UNREACHABLE("bad fcmp predicate");
-}
-
-Instruction* FCmpInst::clone() const {
-  auto* c = new FCmpInst(type(), pred_, lhs(), rhs(), name());
-  copyMetaTo(c);
-  return c;
-}
-
-Instruction* CastInst::clone() const {
-  auto* c = new CastInst(opcode(), type(), value(), name());
-  copyMetaTo(c);
-  return c;
 }
 
 }  // namespace posetrl

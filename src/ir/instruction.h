@@ -6,6 +6,7 @@
 /// use-def bookkeeping consistent automatically.
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,9 +69,27 @@ enum class Opcode {
 /// Spelling used by the printer/parser, e.g. "add", "condbr".
 const char* opcodeName(Opcode op);
 
+/// Every non-operand field an instruction carries, in one plain record.
+/// The copy paths (Instruction::clone, cloneModule, ModuleSnapshot) read it
+/// with Instruction::attrs() and rebuild through Instruction::create(); the
+/// content hashes hash it through hashInstAttrs (ir/structural_hash.h).
+/// Fields an opcode does not use keep their defaults.
+struct InstAttrs {
+  Opcode opcode = Opcode::Unreachable;
+  int pred = 0;                ///< ICmp/FCmp predicate, as int.
+  unsigned align = 1;          ///< Load/Store alignment.
+  unsigned vector_width = 1;   ///< Modeled vectorization factor (1 = scalar).
+  Type* type = nullptr;        ///< Result type (void when there is none).
+  Type* extra_type = nullptr;  ///< Alloca: allocated type; Gep: source element.
+
+  bool operator==(const InstAttrs&) const = default;
+};
+
 /// Base instruction class.
 class Instruction : public Value {
  public:
+  /// Never touches the operands, so it is safe on a half-built instruction
+  /// and in any teardown order.
   ~Instruction() override;
 
   /// Instructions are the highest-churn IR objects (every pass creates and
@@ -82,6 +101,22 @@ class Instruction : public Value {
   static void* operator new(std::size_t bytes);
   static void operator delete(void* p) noexcept;
   static void operator delete(void* p, std::size_t) noexcept;
+
+  /// The one factory behind every copy path: builds the subclass
+  /// \p attrs.opcode selects, with \p num_operands unbound (null) operand
+  /// slots. Until bindOperand fills a slot, the instruction references no
+  /// value and sits in no user list, so building a copy never writes to the
+  /// module it copies from.
+  static std::unique_ptr<Instruction> create(const InstAttrs& attrs,
+                                             std::string name,
+                                             std::size_t num_operands);
+  /// Fills unbound slot \p i with \p v and registers the use. Each slot is
+  /// bound exactly once; later edits go through setOperand.
+  void bindOperand(std::size_t i, Value* v);
+
+  InstAttrs attrs() const {
+    return {opcode_, pred_, align_, vector_width_, type(), extra_type_};
+  }
 
   Opcode opcode() const { return opcode_; }
   BasicBlock* parent() const { return parent_; }
@@ -95,14 +130,7 @@ class Instruction : public Value {
   void setOperand(std::size_t i, Value* v);
   const std::vector<Value*>& operands() const { return operands_; }
 
-  /// Clone-remap only: rebinds operand \p i without unregistering from the
-  /// old value's user list. The old pointer targets the source module of a
-  /// cross-module clone, where this instruction was never registered as a
-  /// user (construction ran under a UserTrackingSuspender) — unregistering
-  /// there would both fail and mutate a module other threads may be reading.
-  void rebindOperandForClone(std::size_t i, Value* v);
-
-  /// Detaches all operands (removing this from their user lists).
+  /// Detaches all bound operands (removing this from their user lists).
   void dropAllOperands();
 
   /// Unlinks from the parent block and destroys the instruction. The result
@@ -146,8 +174,9 @@ class Instruction : public Value {
   BasicBlock* successor(std::size_t i) const;
   void setSuccessor(std::size_t i, BasicBlock* block);
 
-  /// Structural clone with identical operands; the clone is unparented.
-  virtual Instruction* clone() const = 0;
+  /// Structural clone with identical operands and attrs(); the clone is
+  /// unparented.
+  Instruction* clone() const;
 
   /// Modeled vectorization factor (1 = scalar). Set by the loop-vectorize
   /// analog; consumed by the size and throughput models.
@@ -159,87 +188,83 @@ class Instruction : public Value {
   }
 
  protected:
-  Instruction(Opcode opcode, Type* type, std::string name,
-              std::vector<Value*> operands);
-
-  /// Copies base-class metadata (vector width) into \p clone.
-  void copyMetaTo(Instruction* clone) const {
-    clone->vector_width_ = vector_width_;
-  }
+  /// Unbound slots (see create()); subclasses inherit this constructor.
+  Instruction(const InstAttrs& attrs, std::string name,
+              std::size_t num_operands);
+  /// Binds \p operands in order.
+  Instruction(const InstAttrs& attrs, std::string name,
+              std::initializer_list<Value*> operands);
 
   void appendOperand(Value* v);
   void removeOperandAt(std::size_t i);
+
+  // The opcode-specific attributes; subclass accessors give them names.
+  Type* extra_type_;
+  int pred_;
+  unsigned align_;
 
  private:
   friend class BasicBlock;
 
   Opcode opcode_;
+  unsigned vector_width_;
   BasicBlock* parent_ = nullptr;
   std::vector<Value*> operands_;
-  unsigned vector_width_ = 1;
 };
 
 /// Stack allocation of `allocatedType()`, yielding ptr<allocatedType>.
 class AllocaInst : public Instruction {
  public:
+  using Instruction::Instruction;
   AllocaInst(Type* result_ptr_type, Type* allocated, std::string name)
-      : Instruction(Opcode::Alloca, result_ptr_type, std::move(name), {}),
-        allocated_(allocated) {}
+      : Instruction({.opcode = Opcode::Alloca,
+                     .type = result_ptr_type,
+                     .extra_type = allocated},
+                    std::move(name), 0) {}
 
-  Type* allocatedType() const { return allocated_; }
-
-  Instruction* clone() const override;
+  Type* allocatedType() const { return extra_type_; }
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Alloca;
   }
-
- private:
-  Type* allocated_;
 };
 
 /// Load from operand(0) (a pointer).
 class LoadInst : public Instruction {
  public:
+  using Instruction::Instruction;
   LoadInst(Type* loaded, Value* ptr, std::string name)
-      : Instruction(Opcode::Load, loaded, std::move(name), {ptr}) {}
+      : Instruction({.opcode = Opcode::Load, .type = loaded}, std::move(name),
+                    {ptr}) {}
 
   Value* pointer() const { return operand(0); }
   unsigned alignment() const { return align_; }
   void setAlignment(unsigned a) { align_ = a; }
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Load;
   }
-
- private:
-  unsigned align_ = 1;
 };
 
 /// Store operand(0) to pointer operand(1).
 class StoreInst : public Instruction {
  public:
+  using Instruction::Instruction;
   StoreInst(Type* void_type, Value* value, Value* ptr)
-      : Instruction(Opcode::Store, void_type, "", {value, ptr}) {}
+      : Instruction({.opcode = Opcode::Store, .type = void_type}, "",
+                    {value, ptr}) {}
 
   Value* value() const { return operand(0); }
   Value* pointer() const { return operand(1); }
   unsigned alignment() const { return align_; }
   void setAlignment(unsigned a) { align_ = a; }
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Store;
   }
-
- private:
-  unsigned align_ = 1;
 };
 
 /// Pointer arithmetic: base operand(0) of type ptr<sourceElement()>, then
@@ -247,13 +272,11 @@ class StoreInst : public Instruction {
 /// indices step into arrays/structs).
 class GepInst : public Instruction {
  public:
+  using Instruction::Instruction;
   GepInst(Type* result_ptr, Type* source_elem, Value* base,
-          std::vector<Value*> indices, std::string name)
-      : Instruction(Opcode::Gep, result_ptr, std::move(name),
-                    prepend(base, std::move(indices))),
-        source_elem_(source_elem) {}
+          std::vector<Value*> indices, std::string name);
 
-  Type* sourceElement() const { return source_elem_; }
+  Type* sourceElement() const { return extra_type_; }
   Value* base() const { return operand(0); }
   std::size_t numIndices() const { return numOperands() - 1; }
   Value* index(std::size_t i) const { return operand(i + 1); }
@@ -261,30 +284,19 @@ class GepInst : public Instruction {
   /// True when every index is a ConstantInt.
   bool hasAllConstantIndices() const;
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Gep;
   }
-
- private:
-  static std::vector<Value*> prepend(Value* base, std::vector<Value*> rest) {
-    std::vector<Value*> all;
-    all.reserve(rest.size() + 1);
-    all.push_back(base);
-    for (Value* r : rest) all.push_back(r);
-    return all;
-  }
-
-  Type* source_elem_;
 };
 
 /// SSA phi node; operands alternate [value0, block0, value1, block1, ...].
 class PhiInst : public Instruction {
  public:
+  using Instruction::Instruction;
   PhiInst(Type* type, std::string name)
-      : Instruction(Opcode::Phi, type, std::move(name), {}) {}
+      : Instruction({.opcode = Opcode::Phi, .type = type}, std::move(name),
+                    0) {}
 
   std::size_t numIncoming() const { return numOperands() / 2; }
   Value* incomingValue(std::size_t i) const { return operand(2 * i); }
@@ -302,8 +314,6 @@ class PhiInst : public Instruction {
   /// returns V; otherwise nullptr.
   Value* uniformValue() const;
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Phi;
@@ -313,6 +323,7 @@ class PhiInst : public Instruction {
 /// Direct or indirect call; operand(0) is the callee.
 class CallInst : public Instruction {
  public:
+  using Instruction::Instruction;
   CallInst(Type* result, Value* callee, std::vector<Value*> args,
            std::string name);
 
@@ -325,8 +336,6 @@ class CallInst : public Instruction {
   /// Removes argument \p i (used by dead-argument elimination).
   void removeArg(std::size_t i) { removeOperandAt(i + 1); }
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Call;
@@ -336,15 +345,11 @@ class CallInst : public Instruction {
 /// Return; optional value operand.
 class RetInst : public Instruction {
  public:
-  RetInst(Type* void_type, Value* value)
-      : Instruction(Opcode::Ret, void_type, "",
-                    value ? std::vector<Value*>{value}
-                          : std::vector<Value*>{}) {}
+  using Instruction::Instruction;
+  RetInst(Type* void_type, Value* value);
 
   bool hasValue() const { return numOperands() == 1; }
   Value* value() const { return operand(0); }
-
-  Instruction* clone() const override;
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -355,11 +360,10 @@ class RetInst : public Instruction {
 /// Unconditional branch to successor(0).
 class BrInst : public Instruction {
  public:
+  using Instruction::Instruction;
   BrInst(Type* void_type, BasicBlock* target);
 
   BasicBlock* target() const { return successor(0); }
-
-  Instruction* clone() const override;
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -370,14 +374,13 @@ class BrInst : public Instruction {
 /// Conditional branch: condition operand(0), then successor, else successor.
 class CondBrInst : public Instruction {
  public:
+  using Instruction::Instruction;
   CondBrInst(Type* void_type, Value* cond, BasicBlock* then_block,
              BasicBlock* else_block);
 
   Value* condition() const { return operand(0); }
   BasicBlock* thenBlock() const { return successor(0); }
   BasicBlock* elseBlock() const { return successor(1); }
-
-  Instruction* clone() const override;
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -388,6 +391,7 @@ class CondBrInst : public Instruction {
 /// Switch: condition operand(0), default operand(1), then [const, block]...
 class SwitchInst : public Instruction {
  public:
+  using Instruction::Instruction;
   SwitchInst(Type* void_type, Value* cond, BasicBlock* default_block);
 
   Value* condition() const { return operand(0); }
@@ -398,8 +402,6 @@ class SwitchInst : public Instruction {
   void addCase(ConstantInt* value, BasicBlock* block);
   void removeCase(std::size_t i);
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Switch;
@@ -409,10 +411,10 @@ class SwitchInst : public Instruction {
 /// Unreachable terminator.
 class UnreachableInst : public Instruction {
  public:
+  using Instruction::Instruction;
   explicit UnreachableInst(Type* void_type)
-      : Instruction(Opcode::Unreachable, void_type, "", {}) {}
-
-  Instruction* clone() const override;
+      : Instruction({.opcode = Opcode::Unreachable, .type = void_type}, "",
+                    0) {}
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -423,16 +425,15 @@ class UnreachableInst : public Instruction {
 /// select cond, tval, fval.
 class SelectInst : public Instruction {
  public:
+  using Instruction::Instruction;
   SelectInst(Type* type, Value* cond, Value* tval, Value* fval,
              std::string name)
-      : Instruction(Opcode::Select, type, std::move(name),
+      : Instruction({.opcode = Opcode::Select, .type = type}, std::move(name),
                     {cond, tval, fval}) {}
 
   Value* condition() const { return operand(0); }
   Value* trueValue() const { return operand(1); }
   Value* falseValue() const { return operand(2); }
-
-  Instruction* clone() const override;
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -443,15 +444,15 @@ class SelectInst : public Instruction {
 /// Integer or floating binary operation; opcode selects the operation.
 class BinaryInst : public Instruction {
  public:
+  using Instruction::Instruction;
   BinaryInst(Opcode op, Type* type, Value* lhs, Value* rhs, std::string name)
-      : Instruction(op, type, std::move(name), {lhs, rhs}) {
+      : Instruction({.opcode = op, .type = type}, std::move(name),
+                    {lhs, rhs}) {
     POSETRL_CHECK(isBinaryOp(), "BinaryInst with non-binary opcode");
   }
 
   Value* lhs() const { return operand(0); }
   Value* rhs() const { return operand(1); }
-
-  Instruction* clone() const override;
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -464,12 +465,15 @@ class ICmpInst : public Instruction {
  public:
   enum class Pred { EQ, NE, SLT, SLE, SGT, SGE, ULT, ULE, UGT, UGE };
 
+  using Instruction::Instruction;
   ICmpInst(Type* i1_type, Pred pred, Value* lhs, Value* rhs, std::string name)
-      : Instruction(Opcode::ICmp, i1_type, std::move(name), {lhs, rhs}),
-        pred_(pred) {}
+      : Instruction({.opcode = Opcode::ICmp,
+                     .pred = static_cast<int>(pred),
+                     .type = i1_type},
+                    std::move(name), {lhs, rhs}) {}
 
-  Pred pred() const { return pred_; }
-  void setPred(Pred p) { pred_ = p; }
+  Pred pred() const { return static_cast<Pred>(pred_); }
+  void setPred(Pred p) { pred_ = static_cast<int>(p); }
   Value* lhs() const { return operand(0); }
   Value* rhs() const { return operand(1); }
 
@@ -482,15 +486,10 @@ class ICmpInst : public Instruction {
   static bool evaluate(Pred p, std::int64_t lhs, std::int64_t rhs,
                        unsigned bits);
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::ICmp;
   }
-
- private:
-  Pred pred_;
 };
 
 /// Floating-point comparison (ordered predicates only), result i1.
@@ -498,39 +497,36 @@ class FCmpInst : public Instruction {
  public:
   enum class Pred { OEQ, ONE, OLT, OLE, OGT, OGE };
 
+  using Instruction::Instruction;
   FCmpInst(Type* i1_type, Pred pred, Value* lhs, Value* rhs, std::string name)
-      : Instruction(Opcode::FCmp, i1_type, std::move(name), {lhs, rhs}),
-        pred_(pred) {}
+      : Instruction({.opcode = Opcode::FCmp,
+                     .pred = static_cast<int>(pred),
+                     .type = i1_type},
+                    std::move(name), {lhs, rhs}) {}
 
-  Pred pred() const { return pred_; }
+  Pred pred() const { return static_cast<Pred>(pred_); }
   Value* lhs() const { return operand(0); }
   Value* rhs() const { return operand(1); }
 
   static const char* predName(Pred p);
   static bool evaluate(Pred p, double lhs, double rhs);
 
-  Instruction* clone() const override;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::FCmp;
   }
-
- private:
-  Pred pred_;
 };
 
 /// Conversion instruction; opcode selects the conversion.
 class CastInst : public Instruction {
  public:
+  using Instruction::Instruction;
   CastInst(Opcode op, Type* to, Value* value, std::string name)
-      : Instruction(op, to, std::move(name), {value}) {
+      : Instruction({.opcode = op, .type = to}, std::move(name), {value}) {
     POSETRL_CHECK(isCast(), "CastInst with non-cast opcode");
   }
 
   Value* value() const { return operand(0); }
-
-  Instruction* clone() const override;
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);

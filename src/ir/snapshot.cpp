@@ -10,14 +10,6 @@
 
 namespace posetrl {
 
-ModuleSnapshot::NameRef ModuleSnapshot::intern(const std::string& s) {
-  NameRef r;
-  r.offset = static_cast<std::uint32_t>(names_.size());
-  r.length = static_cast<std::uint32_t>(s.size());
-  names_.append(s);
-  return r;
-}
-
 std::uint64_t ModuleSnapshot::encodeOperand(const Value* v,
                                             std::uint64_t gen) const {
   if (v->fingerprintIdValid(gen)) return (v->fingerprintId() << 1) | 1u;
@@ -91,36 +83,8 @@ void ModuleSnapshot::capture(const Module& m) {
       brec.num_insts = static_cast<std::uint32_t>(bb->size());
       for (const auto& inst : bb->insts()) {
         InstRec irec;
-        irec.op = inst->opcode();
-        irec.vector_width = inst->vectorWidth();
-        irec.type = inst->type();
+        irec.attrs = inst->attrs();
         irec.name = intern(inst->name());
-        switch (inst->opcode()) {
-          case Opcode::Alloca:
-            irec.extra_type =
-                static_cast<const AllocaInst&>(*inst).allocatedType();
-            break;
-          case Opcode::Load:
-            irec.align = static_cast<const LoadInst&>(*inst).alignment();
-            break;
-          case Opcode::Store:
-            irec.align = static_cast<const StoreInst&>(*inst).alignment();
-            break;
-          case Opcode::Gep:
-            irec.extra_type =
-                static_cast<const GepInst&>(*inst).sourceElement();
-            break;
-          case Opcode::ICmp:
-            irec.pred = static_cast<int>(
-                static_cast<const ICmpInst&>(*inst).pred());
-            break;
-          case Opcode::FCmp:
-            irec.pred = static_cast<int>(
-                static_cast<const FCmpInst&>(*inst).pred());
-            break;
-          default:
-            break;
-        }
         irec.first_op = static_cast<std::uint32_t>(operands_.size());
         irec.num_ops = static_cast<std::uint32_t>(inst->numOperands());
         for (Value* op : inst->operands()) {
@@ -152,30 +116,11 @@ void ModuleSnapshot::capture(const Module& m) {
 
 namespace {
 
-Value* decodeConstant(std::uint64_t entry) {
-  return reinterpret_cast<Value*>(entry);
-}
-
-/// Operand during instruction construction: already-materialized values
-/// resolve for real; forward references get \p placeholder (any non-null
-/// Value; the rebind sweep installs the real operand afterwards).
-Value* resolveEarly(std::uint64_t entry, const std::vector<Value*>& table,
-                    Value* placeholder) {
-  if ((entry & 1u) == 0) return decodeConstant(entry);
-  Value* v = table[entry >> 1];
-  return v != nullptr ? v : placeholder;
-}
-
-Value* resolveFinal(std::uint64_t entry, const std::vector<Value*>& table) {
-  if ((entry & 1u) == 0) return decodeConstant(entry);
+Value* resolveOperand(std::uint64_t entry, const std::vector<Value*>& table) {
+  if ((entry & 1u) == 0) return reinterpret_cast<Value*>(entry);
   Value* v = table[entry >> 1];
   POSETRL_CHECK(v != nullptr, "snapshot: unresolved operand id");
   return v;
-}
-
-BasicBlock* resolveBlock(std::uint64_t entry,
-                         const std::vector<Value*>& table) {
-  return cast<BasicBlock>(resolveFinal(entry, table));
 }
 
 }  // namespace
@@ -311,143 +256,26 @@ ModuleSnapshot::RestoreResult ModuleSnapshot::restoreInto(Module& m) const {
           label_type, std::string(view(brec.name)), f));
       table[id++] = f->blocks_.back().get();
     }
-    std::vector<Instruction*> created;
-    {
-      // Construction transiently holds placeholder operands for forward
-      // references; suspend user registration so bookkeeping is
-      // established exactly once, by the rebind sweep below (the same
-      // protocol cloneModule uses).
-      UserTrackingSuspender suspend;
-      auto block_it = f->blocks_.begin();
-      for (std::uint32_t bi = 0; bi < frec.num_blocks; ++bi, ++block_it) {
-        const BlockRec& brec = blocks_[frec.first_block + bi];
-        BasicBlock* nb = block_it->get();
-        for (std::uint32_t ii = 0; ii < brec.num_insts; ++ii) {
-          const InstRec& irec = insts_[brec.first_inst + ii];
-          auto opv = [&](std::uint32_t j) {
-            return resolveEarly(operands_[irec.first_op + j], table, f);
-          };
-          auto blk = [&](std::uint32_t j) {
-            return resolveBlock(operands_[irec.first_op + j], table);
-          };
-          std::string name(view(irec.name));
-          Instruction* out = nullptr;
-          switch (irec.op) {
-            case Opcode::Alloca:
-              out = new AllocaInst(irec.type, irec.extra_type,
-                                   std::move(name));
-              break;
-            case Opcode::Load: {
-              auto* n = new LoadInst(irec.type, opv(0), std::move(name));
-              n->setAlignment(irec.align);
-              out = n;
-              break;
-            }
-            case Opcode::Store: {
-              auto* n = new StoreInst(irec.type, opv(0), opv(1));
-              n->setAlignment(irec.align);
-              out = n;
-              break;
-            }
-            case Opcode::Gep: {
-              std::vector<Value*> indices;
-              indices.reserve(irec.num_ops - 1);
-              for (std::uint32_t j = 1; j < irec.num_ops; ++j) {
-                indices.push_back(opv(j));
-              }
-              out = new GepInst(irec.type, irec.extra_type, opv(0),
-                                std::move(indices), std::move(name));
-              break;
-            }
-            case Opcode::Phi: {
-              auto* n = new PhiInst(irec.type, std::move(name));
-              for (std::uint32_t j = 0; j + 1 < irec.num_ops; j += 2) {
-                n->addIncoming(opv(j), blk(j + 1));
-              }
-              out = n;
-              break;
-            }
-            case Opcode::Call: {
-              std::vector<Value*> call_args;
-              call_args.reserve(irec.num_ops - 1);
-              for (std::uint32_t j = 1; j < irec.num_ops; ++j) {
-                call_args.push_back(opv(j));
-              }
-              out = new CallInst(irec.type, opv(0), std::move(call_args),
-                                 std::move(name));
-              break;
-            }
-            case Opcode::Ret:
-              out = new RetInst(irec.type,
-                                irec.num_ops != 0 ? opv(0) : nullptr);
-              break;
-            case Opcode::Br:
-              out = new BrInst(irec.type, blk(0));
-              break;
-            case Opcode::CondBr:
-              out = new CondBrInst(irec.type, opv(0), blk(1), blk(2));
-              break;
-            case Opcode::Switch: {
-              auto* n = new SwitchInst(irec.type, opv(0), blk(1));
-              for (std::uint32_t j = 2; j + 1 < irec.num_ops; j += 2) {
-                n->addCase(
-                    cast<ConstantInt>(
-                        decodeConstant(operands_[irec.first_op + j])),
-                    blk(j + 1));
-              }
-              out = n;
-              break;
-            }
-            case Opcode::Unreachable:
-              out = new UnreachableInst(irec.type);
-              break;
-            case Opcode::Select:
-              out = new SelectInst(irec.type, opv(0), opv(1), opv(2),
-                                   std::move(name));
-              break;
-            case Opcode::ICmp:
-              out = new ICmpInst(irec.type,
-                                 static_cast<ICmpInst::Pred>(irec.pred),
-                                 opv(0), opv(1), std::move(name));
-              break;
-            case Opcode::FCmp:
-              out = new FCmpInst(irec.type,
-                                 static_cast<FCmpInst::Pred>(irec.pred),
-                                 opv(0), opv(1), std::move(name));
-              break;
-            default: {
-              if (irec.op >= Opcode::Add && irec.op <= Opcode::FDiv) {
-                out = new BinaryInst(irec.op, irec.type, opv(0), opv(1),
-                                     std::move(name));
-              } else if (irec.op >= Opcode::ZExt) {
-                out = new CastInst(irec.op, irec.type, opv(0),
-                                   std::move(name));
-              } else {
-                POSETRL_UNREACHABLE("snapshot: unhandled opcode");
-              }
-              break;
-            }
-          }
-          out->setVectorWidth(irec.vector_width);
-          nb->pushBack(std::unique_ptr<Instruction>(out));
-          table[id++] = out;
-          created.push_back(out);
-        }
+    // Create every instruction with unbound slots first (operands may be
+    // forward references), owned by its block from the start so a throw in
+    // the bind sweep leaks nothing; then bind each slot exactly once.
+    auto block_it = f->blocks_.begin();
+    for (std::uint32_t bi = 0; bi < frec.num_blocks; ++bi, ++block_it) {
+      const BlockRec& brec = blocks_[frec.first_block + bi];
+      for (std::uint32_t ii = 0; ii < brec.num_insts; ++ii) {
+        const InstRec& irec = insts_[brec.first_inst + ii];
+        table[id++] = (*block_it)->pushBack(Instruction::create(
+            irec.attrs, std::string(view(irec.name)), irec.num_ops));
       }
     }
-    // Rebind sweep: every operand slot gets its final value and registers
-    // its use exactly once (construction ran suspended).
-    std::size_t ci = 0;
-    for (std::uint32_t bi = 0; bi < frec.num_blocks; ++bi) {
-      const BlockRec& brec = blocks_[frec.first_block + bi];
-      for (std::uint32_t ii = 0; ii < brec.num_insts; ++ii, ++ci) {
-        const InstRec& irec = insts_[brec.first_inst + ii];
-        Instruction* inst = created[ci];
-        POSETRL_CHECK(inst->numOperands() == irec.num_ops,
-                      "snapshot: operand count drifted in reconstruction");
+    block_it = f->blocks_.begin();
+    for (std::uint32_t bi = 0; bi < frec.num_blocks; ++bi, ++block_it) {
+      std::uint32_t ii = blocks_[frec.first_block + bi].first_inst;
+      for (const auto& inst : (*block_it)->insts()) {
+        const InstRec& irec = insts_[ii++];
         for (std::uint32_t j = 0; j < irec.num_ops; ++j) {
-          inst->rebindOperandForClone(
-              j, resolveFinal(operands_[irec.first_op + j], table));
+          inst->bindOperand(
+              j, resolveOperand(operands_[irec.first_op + j], table));
         }
       }
     }

@@ -3,9 +3,11 @@
 /// \file snapshot.h
 /// Flat-buffer module snapshots with in-place restore: the sandbox's
 /// rollback primitive. capture() encodes every function body into dense
-/// POD records (no IR objects, no per-value allocations); restoreInto()
-/// rebuilds the bodies inside the *same* Module object, drawing
-/// instruction/block storage from the module's bump arena.
+/// POD records (each instruction's InstAttrs, name and operand ids; no IR
+/// objects, no per-value allocations); restoreInto() rebuilds the bodies
+/// inside the *same* Module object through Instruction::create and
+/// bindOperand, drawing instruction/block storage from the module's bump
+/// arena.
 ///
 /// Contrast with cloneModule: a clone materializes a second full object
 /// graph up front (the dominant cost of every environment step), and
@@ -64,6 +66,9 @@ class ModuleSnapshot {
   };
 
   /// Rebuilds the captured state inside \p m (must be the captured module).
+  /// If it throws (an operand id that cannot resolve, under a
+  /// ScopedFaultTrap), \p m is left half-built but can still be destroyed
+  /// or restored from another snapshot.
   RestoreResult restoreInto(Module& m) const;
 
   bool valid() const { return source_ != nullptr; }
@@ -81,12 +86,7 @@ class ModuleSnapshot {
     std::uint32_t length = 0;
   };
   struct InstRec {
-    Opcode op;
-    int pred = 0;           ///< ICmp/FCmp predicate (as int).
-    unsigned align = 1;     ///< Load/Store alignment.
-    unsigned vector_width = 1;
-    Type* type = nullptr;
-    Type* extra_type = nullptr;  ///< Alloca allocated / Gep source element.
+    InstAttrs attrs;
     NameRef name;
     std::uint32_t first_op = 0, num_ops = 0;
   };
@@ -113,7 +113,14 @@ class ModuleSnapshot {
     std::int32_t init_func = -1;  ///< FuncPtr target as index into funcs_.
   };
 
-  NameRef intern(const std::string& s);
+  /// Inline on purpose: capture() calls it once per value.
+  NameRef intern(const std::string& s) {
+    NameRef r;
+    r.offset = static_cast<std::uint32_t>(names_.size());
+    r.length = static_cast<std::uint32_t>(s.size());
+    names_.append(s);
+    return r;
+  }
   std::string_view view(NameRef r) const {
     return std::string_view(names_).substr(r.offset, r.length);
   }

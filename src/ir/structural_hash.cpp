@@ -42,6 +42,22 @@ std::uint64_t structuralTypeHash(const Type* t) {
   return h;
 }
 
+std::uint64_t hashInstAttrs(std::uint64_t h, const InstAttrs& a) {
+  // The small fields share one word (an alignment or width past 2^24 only
+  // weakens the hash, never breaks equality of equal records).
+  const std::uint64_t small =
+      static_cast<std::uint64_t>(a.opcode) |
+      static_cast<std::uint64_t>(static_cast<std::uint8_t>(a.pred)) << 8 |
+      static_cast<std::uint64_t>(a.align) << 16 |
+      static_cast<std::uint64_t>(a.vector_width) << 40;
+  h = hashCombine(h, small);
+  h = hashCombine(h, structuralTypeHash(a.type));
+  if (a.extra_type != nullptr) {
+    h = hashCombine(h, structuralTypeHash(a.extra_type));
+  }
+  return h;
+}
+
 namespace {
 
 std::uint64_t hashTypePtr(const Type* t) { return structuralTypeHash(t); }
@@ -129,40 +145,8 @@ std::uint64_t moduleContentHash(const Module& m) {
       h = hashCombine(h, fnv1a(bb->name()));
       h = hashCombine(h, bb->size());
       for (const auto& inst : bb->insts()) {
-        h = hashCombine(h, static_cast<std::uint64_t>(inst->opcode()));
-        h = hashCombine(h, hashTypePtr(inst->type()));
+        h = hashInstAttrs(h, inst->attrs());
         h = hashCombine(h, fnv1a(inst->name()));
-        h = hashCombine(h, inst->vectorWidth());
-        switch (inst->opcode()) {
-          case Opcode::Alloca:
-            h = hashCombine(h, hashTypePtr(static_cast<const AllocaInst&>(
-                                               *inst).allocatedType()));
-            break;
-          case Opcode::Load:
-            h = hashCombine(
-                h, static_cast<const LoadInst&>(*inst).alignment());
-            break;
-          case Opcode::Store:
-            h = hashCombine(
-                h, static_cast<const StoreInst&>(*inst).alignment());
-            break;
-          case Opcode::Gep:
-            h = hashCombine(h, hashTypePtr(static_cast<const GepInst&>(
-                                               *inst).sourceElement()));
-            break;
-          case Opcode::ICmp:
-            h = hashCombine(h, static_cast<std::uint64_t>(
-                                   static_cast<const ICmpInst&>(*inst)
-                                       .pred()));
-            break;
-          case Opcode::FCmp:
-            h = hashCombine(h, static_cast<std::uint64_t>(
-                                   static_cast<const FCmpInst&>(*inst)
-                                       .pred()));
-            break;
-          default:
-            break;
-        }
         for (const Value* op : inst->operands()) {
           h = hashCombine(h, hashOperand(op, gen));
         }

@@ -19,12 +19,18 @@ namespace posetrl {
 
 class Module;
 class Type;
+struct InstAttrs;
 
 /// Structural type hash, independent of interning addresses (so hashes and
 /// analysis fingerprints agree across module clones). Memoized in the Type
 /// itself (Type::analysisHashCache) — types are immutable, and every walk
 /// hits the same handful of types for every operand of every instruction.
 std::uint64_t structuralTypeHash(const Type* t);
+
+/// Folds every field of \p attrs into \p h (types structurally). The one
+/// instruction-attribute hash behind moduleContentHash and
+/// fingerprintFunction.
+std::uint64_t hashInstAttrs(std::uint64_t h, const InstAttrs& attrs);
 
 std::uint64_t moduleContentHash(const Module& m);
 

@@ -9,22 +9,6 @@ namespace posetrl {
 
 namespace {
 
-thread_local int g_user_tracking_suspended = 0;
-
-}  // namespace
-
-UserTrackingSuspender::UserTrackingSuspender() { ++g_user_tracking_suspended; }
-
-UserTrackingSuspender::~UserTrackingSuspender() {
-  --g_user_tracking_suspended;
-}
-
-bool UserTrackingSuspender::active() {
-  return g_user_tracking_suspended > 0;
-}
-
-namespace {
-
 // Each thread draws generations from its own 2^40-wide range, so a stamp
 // left by one thread can never read as valid to another thread's walk over
 // the same module (modules move between serve threads over their lifetime).

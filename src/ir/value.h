@@ -8,6 +8,10 @@
 /// Use-def bookkeeping: every Instruction records its operand Values, and
 /// every Value keeps the (multi-)list of instructions using it, enabling
 /// `replaceAllUsesWith` — the workhorse of nearly every optimization pass.
+/// A use is registered only when an operand slot is filled
+/// (Instruction::bindOperand, setOperand, or an appended phi/switch entry).
+/// Copy paths create instructions with unbound slots and bind destination
+/// values only, so copying a module never writes to the source's user lists.
 
 #include <cstdint>
 #include <string>
@@ -19,30 +23,6 @@
 namespace posetrl {
 
 class Instruction;
-
-/// RAII guard suspending user-list registration on the current thread.
-///
-/// cloneModule constructs destination instructions that transiently hold
-/// operand pointers into the *source* module; registering those clones as
-/// users would mutate the source's user lists — and the source may be a
-/// module other threads are cloning concurrently (the serving layer clones
-/// one shared request module from many workers at once). While a suspender
-/// is alive, Value::addUser is a no-op; the clone's remap sweep then rebinds
-/// every operand into the destination module
-/// (Instruction::rebindOperandForClone), which re-establishes exact
-/// bookkeeping there. Do not use outside cross-module cloning: an
-/// instruction built under suspension has inconsistent use-def state until
-/// every one of its operands is rebound.
-class UserTrackingSuspender {
- public:
-  UserTrackingSuspender();
-  ~UserTrackingSuspender();
-  UserTrackingSuspender(const UserTrackingSuspender&) = delete;
-  UserTrackingSuspender& operator=(const UserTrackingSuspender&) = delete;
-
-  /// True while any suspender is alive on this thread.
-  static bool active();
-};
 
 /// Root of the MiniIR value hierarchy.
 class Value {
@@ -116,10 +96,7 @@ class Value {
 
  private:
   friend class Instruction;
-  void addUser(Instruction* user) {
-    if (UserTrackingSuspender::active()) return;
-    users_.push_back(user);
-  }
+  void addUser(Instruction* user) { users_.push_back(user); }
   void removeUser(Instruction* user);
 
   Kind kind_;

@@ -350,16 +350,18 @@ void verifyFunctionBody(Checker& ck, const Function& f) {
     for (const auto& inst : bb->insts()) order[inst.get()] = i++;
   }
   for (const auto& bb : f.blocks()) {
-    if (!reachable.count(bb.get())) continue;
+    const bool live = reachable.count(bb.get()) > 0;
     for (const auto& inst : bb->insts()) {
       for (std::size_t oi = 0; oi < inst->numOperands(); ++oi) {
         const auto* def = dynCast<Instruction>(inst->operand(oi));
         if (def == nullptr) continue;
+        // Checked in unreachable blocks too, as the fast verifier does.
         if (def->parent() == nullptr ||
             def->parent()->parent() != &f) {
           ck.error(&f, inst.get(), "operand from another function");
           continue;
         }
+        if (!live) continue;
         if (inst->opcode() == Opcode::Phi) {
           if (oi % 2 != 0) continue;  // Block operands.
           const auto* phi = static_cast<const PhiInst*>(inst.get());

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -213,16 +214,38 @@ enum class Corruption {
   UseBeforeDef,       // "use before def in block"
   PhiMissingEdge,     // "phi missing incoming edge from"
   DuplicatePredecessor,
+  ForeignOperandInDeadBlock,  // "operand from another function", unreachable
 };
 constexpr Corruption kCorruptions[] = {
-    Corruption::None,          Corruption::ForeignSuccessor,
-    Corruption::ArgUseDrift,   Corruption::BlockUseDrift,
-    Corruption::InstUseDrift,  Corruption::UseBeforeDef,
-    Corruption::PhiMissingEdge, Corruption::DuplicatePredecessor};
+    Corruption::None,           Corruption::ForeignSuccessor,
+    Corruption::ArgUseDrift,    Corruption::BlockUseDrift,
+    Corruption::InstUseDrift,   Corruption::UseBeforeDef,
+    Corruption::PhiMissingEdge, Corruption::DuplicatePredecessor,
+    Corruption::ForeignOperandInDeadBlock};
+
+/// An instruction of \p f whose copy outside \p f references \p f's own
+/// instructions and nothing function-local besides: no argument, no block.
+Instruction* foreignCopySource(Function& f) {
+  for (const auto& b : f.blocks()) {
+    for (const auto& inst : b->insts()) {
+      if (inst->isTerminator() || inst->opcode() == Opcode::Phi) continue;
+      bool uses_inst = false;
+      bool uses_other_local = false;
+      for (const Value* op : inst->operands()) {
+        uses_inst |= isa<Instruction>(op);
+        uses_other_local |= isa<Argument>(op) || isa<BasicBlock>(op);
+      }
+      if (uses_inst && !uses_other_local) return inst.get();
+    }
+  }
+  return nullptr;
+}
 
 /// Applies \p c to the first site in \p m that admits it (scanning from a
-/// random function); false when no site exists.
-bool corrupt(Module& m, Corruption c, Rng& rng) {
+/// random function); false when no site exists. The use-drift kinds hand
+/// the detached instruction that holds the phantom use to \p phantom.
+bool corrupt(Module& m, Corruption c, Rng& rng,
+             std::unique_ptr<Instruction>& phantom) {
   std::vector<Function*> defined;
   for (const auto& f : m.functions())
     if (!f->isDeclaration()) defined.push_back(f.get());
@@ -230,6 +253,18 @@ bool corrupt(Module& m, Corruption c, Rng& rng) {
   for (std::size_t k = 0; k < defined.size(); ++k) {
     Function& f = *defined[(start + k) % defined.size()];
     Function& other = *defined[(start + k + 1) % defined.size()];
+    if (c == Corruption::ForeignOperandInDeadBlock) {
+      // A copy of one of other's instructions, alone in a new block of f
+      // that no branch reaches.
+      Instruction* source = &other == &f ? nullptr : foreignCopySource(other);
+      if (source == nullptr) continue;
+      BasicBlock* dead = f.addBlock("dead");
+      Instruction* copy =
+          dead->pushBack(std::unique_ptr<Instruction>(source->clone()));
+      if (!copy->type()->isVoid()) copy->setName(f.nextValueName());
+      dead->pushBack(std::make_unique<UnreachableInst>(m.types().voidTy()));
+      return true;
+    }
     for (const auto& b : f.blocks()) {
       for (const auto& inst : b->insts()) {
         Instruction* in = inst.get();
@@ -249,9 +284,12 @@ bool corrupt(Module& m, Corruption c, Rng& rng) {
                                                  : Value::Kind::Instruction;
             for (std::size_t i = 0; i < in->numOperands(); ++i) {
               if (in->operand(i)->kind() != want) continue;
-              // Re-registers the user without dropping the old entry: the
-              // use list gains a phantom slot the operands do not have.
-              in->rebindOperandForClone(i, in->operand(i));
+              // A detached phi bound to the operand: the use list gains an
+              // entry no operand slot in the module accounts for.
+              Value* used = in->operand(i);
+              phantom = Instruction::create(
+                  {.opcode = Opcode::Phi, .type = used->type()}, "", 1);
+              phantom->bindOperand(0, used);
               return true;
             }
             break;
@@ -278,6 +316,8 @@ bool corrupt(Module& m, Corruption c, Rng& rng) {
             in->setOperand(1, stranger);
             return true;
           }
+          case Corruption::ForeignOperandInDeadBlock:  // Applied above.
+            break;
           case Corruption::DuplicatePredecessor:
             if (in->opcode() != Opcode::CondBr ||
                 in->successor(0) == in->successor(1))
@@ -312,7 +352,9 @@ TEST(VerifierEquivalenceTest, AgreeOnCorruptedPassSoupOutputs) {
                                " corruption " +
                                std::to_string(static_cast<int>(c));
       ASSERT_TRUE(warm.verify(*m, am).ok()) << what;
-      if (!corrupt(*m, c, rng)) continue;
+      // Destroyed before the module; a teardown never reads user lists.
+      std::unique_ptr<Instruction> phantom;
+      if (!corrupt(*m, c, rng, phantom)) continue;
       ++applied[c];
       if (!verifyModule(*m).ok()) ++flagged[c];
       expectVerifiersAgree(*m, warm, am, what);

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "ir/basic_block.h"
 #include "ir/clone.h"
 #include "ir/function.h"
@@ -10,6 +16,7 @@
 #include "ir/module.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "ir/snapshot.h"
 #include "ir/verifier.h"
 
 namespace posetrl {
@@ -355,6 +362,182 @@ TEST(CloneTest, CloneSurvivesSourceDestruction) {
   // Types and constants of the clone must be owned by the clone.
   EXPECT_EQ(printModule(*m2), p1);
   EXPECT_TRUE(verifyModule(*m2).ok());
+}
+
+/// Every opcode once (each icmp/fcmp predicate once), every attribute off
+/// its default: vector width 4 everywhere, alignment 8, and an alloca type
+/// distinct from the GEP source element type. Uses are registered in layout
+/// order (the phi's back edge is added before the block's later users), the
+/// order every copy path binds in.
+std::unique_ptr<Module> buildAllOpcodes() {
+  auto m = std::make_unique<Module>("all_opcodes");
+  TypeContext& tc = m->types();
+  Type* pair = tc.structOf({tc.i64(), tc.f64()});
+  Function* callee = m->createFunction(
+      "callee", tc.funcType(tc.i64(), {tc.i64()}), Function::Linkage::External);
+  Function* f = m->createFunction(
+      "all",
+      tc.funcType(tc.i64(),
+                  {tc.i64(), tc.f64(), tc.ptrTo(tc.i64()), tc.ptrTo(pair)}),
+      Function::Linkage::External);
+  Value* a = f->arg(0);
+  Value* x = f->arg(1);
+  Value* q = f->arg(2);
+  BasicBlock* entry = f->addBlock("entry");
+  BasicBlock* loop = f->addBlock("loop");
+  BasicBlock* dead = f->addBlock("dead");
+  BasicBlock* other = f->addBlock("other");
+  BasicBlock* exit = f->addBlock("exit");
+  IRBuilder b(m.get());
+
+  b.setInsertPoint(entry);
+  b.alloca_(tc.arrayOf(tc.i32(), 3));
+  b.gep(f->arg(3), {m->i64Const(0), m->i32Const(1)});
+  LoadInst* v = b.load(q);
+  v->setAlignment(8);
+  b.store(v, q)->setAlignment(8);
+  for (Opcode op = Opcode::Add; op <= Opcode::Xor;
+       op = static_cast<Opcode>(static_cast<int>(op) + 1)) {
+    b.binary(op, a, v);
+  }
+  for (Opcode op = Opcode::FAdd; op <= Opcode::FDiv;
+       op = static_cast<Opcode>(static_cast<int>(op) + 1)) {
+    b.binary(op, x, x);
+  }
+  Value* c = nullptr;
+  for (int p = 0; p <= static_cast<int>(ICmpInst::Pred::UGE); ++p) {
+    c = b.icmp(static_cast<ICmpInst::Pred>(p), a, v);
+  }
+  for (int p = 0; p <= static_cast<int>(FCmpInst::Pred::OGE); ++p) {
+    b.fcmp(static_cast<FCmpInst::Pred>(p), x, x);
+  }
+  b.castOp(Opcode::ZExt, tc.i64(), c);
+  b.castOp(Opcode::SExt, tc.i64(), c);
+  b.castOp(Opcode::Trunc, tc.i32(), a);
+  b.castOp(Opcode::SIToFP, tc.f64(), a);
+  b.castOp(Opcode::FPToSI, tc.i64(), x);
+  b.select(c, a, v);
+  b.call(callee, {a});
+  b.condBr(c, loop, other);
+
+  b.setInsertPoint(loop);
+  PhiInst* phi = b.phi(tc.i64());
+  phi->addIncoming(a, entry);
+  Value* w = b.add(phi, m->i64Const(1));
+  phi->addIncoming(w, loop);
+  SwitchInst* sw = b.switchOp(w, exit);
+  sw->addCase(m->i64Const(1), loop);
+  sw->addCase(m->i64Const(2), dead);
+
+  b.setInsertPoint(dead);
+  b.unreachable();
+  b.setInsertPoint(other);
+  b.br(exit);
+  b.setInsertPoint(exit);
+  b.ret(a);
+
+  for (const auto& bb : f->blocks()) {
+    for (const auto& inst : bb->insts()) inst->setVectorWidth(4);
+  }
+  return m;
+}
+
+/// \p a with every type spelled out, so records of different modules compare.
+std::string spell(const InstAttrs& a) {
+  return std::string(opcodeName(a.opcode)) + " " + a.type->str() + " " +
+         (a.extra_type != nullptr ? a.extra_type->str() : "-") + " " +
+         std::to_string(a.pred) + " " + std::to_string(a.align) + " " +
+         std::to_string(a.vector_width);
+}
+
+/// Layout-order view of a module: each instruction's spelled attrs, and for
+/// each of its operands that operand's user list as layout indices.
+struct Layout {
+  std::vector<std::string> attrs;
+  std::vector<std::vector<int>> users;
+  bool operator==(const Layout&) const = default;
+};
+
+Layout layoutOf(const Module& m) {
+  std::map<const Instruction*, int> index;
+  std::vector<const Instruction*> insts;
+  for (const auto& f : m.functions()) {
+    for (const auto& bb : f->blocks()) {
+      for (const auto& inst : bb->insts()) {
+        index[inst.get()] = static_cast<int>(insts.size());
+        insts.push_back(inst.get());
+      }
+    }
+  }
+  Layout out;
+  for (const Instruction* inst : insts) {
+    out.attrs.push_back(spell(inst->attrs()));
+    for (const Value* op : inst->operands()) {
+      std::vector<int> users;
+      for (const Instruction* u : op->users()) users.push_back(index.at(u));
+      out.users.push_back(std::move(users));
+    }
+  }
+  return out;
+}
+
+TEST(InstAttrsTest, EveryCopyPathPreservesAttrsTextAndUseOrder) {
+  auto m = buildAllOpcodes();
+  ASSERT_TRUE(verifyModule(*m).ok()) << verifyModule(*m).message();
+  std::set<Opcode> seen;
+  for (const auto& bb : m->getFunction("all")->blocks()) {
+    for (const auto& inst : bb->insts()) seen.insert(inst->opcode());
+  }
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(Opcode::FPToSI) + 1);
+  const std::string text = printModule(*m);
+  const Layout layout = layoutOf(*m);
+
+  // Instruction::clone: same record, text and operands; the clone joins
+  // each operand's user list after every existing user, in operand order.
+  for (const auto& bb : m->getFunction("all")->blocks()) {
+    for (const auto& inst : bb->insts()) {
+      std::unique_ptr<Instruction> c(inst->clone());
+      EXPECT_EQ(c->attrs(), inst->attrs()) << printInstruction(*inst);
+      EXPECT_EQ(printInstruction(*c), printInstruction(*inst));
+      ASSERT_EQ(c->operands(), inst->operands());
+      std::map<const Value*, std::size_t> slots;
+      for (const Value* op : c->operands()) ++slots[op];
+      for (const auto& [op, n] : slots) {
+        const auto& users = op->users();
+        ASSERT_GE(users.size(), n);
+        for (std::size_t k = users.size() - n; k < users.size(); ++k) {
+          EXPECT_EQ(users[k], c.get()) << printInstruction(*inst);
+        }
+      }
+      c->dropAllOperands();
+    }
+  }
+  EXPECT_EQ(layoutOf(*m), layout);
+
+  // cloneModule.
+  auto copy = cloneModule(*m);
+  EXPECT_EQ(printModule(*copy), text);
+  EXPECT_EQ(layoutOf(*copy), layout);
+
+  // Snapshot capture -> restore, after the body was emptied.
+  ModuleSnapshot snap;
+  snap.capture(*m);
+  std::vector<InstAttrs> records;
+  for (const auto& bb : m->getFunction("all")->blocks()) {
+    for (const auto& inst : bb->insts()) records.push_back(inst->attrs());
+  }
+  m->eraseFunction(m->getFunction("all"));
+  snap.restoreInto(*m);
+  std::size_t i = 0;
+  for (const auto& bb : m->getFunction("all")->blocks()) {
+    for (const auto& inst : bb->insts()) {
+      ASSERT_LT(i, records.size());
+      EXPECT_EQ(inst->attrs(), records[i++]);
+    }
+  }
+  EXPECT_EQ(i, records.size());
+  EXPECT_EQ(printModule(*m), text);
+  EXPECT_EQ(layoutOf(*m), layout);
 }
 
 TEST(BlockTest, SplitAtMovesTail) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "ir/printer.h"
 #include "ir/snapshot.h"
 #include "ir/structural_hash.h"
+#include "ir/verifier.h"
 #include "passes/pass.h"
 #include "support/arena.h"
 #include "workloads/generator.h"
@@ -181,6 +183,50 @@ TEST(SnapshotTest, RestoreErasesFunctionsCreatedAfterCapture) {
   EXPECT_FALSE(res.symbols_preserved);
   EXPECT_EQ(m->getFunction("snap_extra"), nullptr);
   EXPECT_EQ(printModule(*m), before);
+}
+
+TEST(SnapshotTest, ThrowingRestoreLeaksNothingAndStaysRestorable) {
+  std::string err;
+  auto m = parseModule(R"(
+module "forward"
+
+define @f : fn(i64) -> i64 external {
+block entry.0:
+  %t1 : i64 = add %arg0, i64 1
+  %t2 : i64 = mul %t1, i64 3
+  ret %t2
+}
+
+define @g : fn(i64) -> i64 external {
+block entry.0:
+  %t3 : i64 = sub %arg0, i64 2
+  ret %t3
+}
+)",
+                       &err);
+  ASSERT_NE(m, nullptr) << err;
+  const std::string before = printModule(*m);
+  ModuleSnapshot good;
+  good.capture(*m);
+
+  // @f's mul now reads @g's %t3. Both copy paths build @f before @g, so
+  // binding that slot fails with the instructions after it still unbound.
+  Instruction* mul = std::next(m->getFunction("f")->entry()->insts().begin())
+                         ->get();
+  mul->setOperand(0, m->getFunction("g")->entry()->front());
+  ModuleSnapshot bad;
+  bad.capture(*m);
+  {
+    ScopedFaultTrap trap;
+    // The half-built clone is destroyed during unwinding.
+    EXPECT_THROW(cloneModule(*m), FatalError);
+    EXPECT_THROW(bad.restoreInto(*m), FatalError);
+  }
+
+  // The half-restored module tears down cleanly under the next restore.
+  good.restoreInto(*m);
+  EXPECT_EQ(printModule(*m), before);
+  EXPECT_TRUE(verifyModule(*m).ok()) << verifyModule(*m).message();
 }
 
 TEST(SnapshotTest, MatchesTracksContentStamp) {

@@ -379,15 +379,17 @@ if [[ $TSAN -eq 1 ]]; then
   # Swap-churn and batcher unit tests (tight publish/pin/reclaim and
   # batching races the driver cannot reach as directly), the GEMM
   # bit-identity suite (its forced-mode dispatch pokes the atomic SIMD-mode
-  # slot the parallel trainer's actors read concurrently), and 4 workers
-  # sharing the -Oz memo on repeated programs.
+  # slot the parallel trainer's actors read concurrently), 4 workers
+  # sharing the -Oz memo on repeated programs, and many threads cloning one
+  # module (cloneModule must be a pure read of its source).
   TSAN_FILTER='SnapshotTest.ConcurrentSwapChurn:BatcherTest.*:SimdTest.*'
   TSAN_FILTER+=':CompileServiceStressTest.RepeatedProgramsKeepLadderGuarantees'
+  TSAN_FILTER+=':ConcurrentCloneTest.*'
   if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/posetrl_tests" \
       --gtest_filter="$TSAN_FILTER" >/dev/null; then
-    echo "ok   tsan snapshot swap churn + batcher + simd + oz memo tests"
+    echo "ok   tsan snapshot swap churn + batcher + simd + oz memo + clone tests"
   else
-    echo "FAIL tsan snapshot swap churn + batcher + simd + oz memo tests"
+    echo "FAIL tsan snapshot swap churn + batcher + simd + oz memo + clone tests"
     status=1
   fi
 
