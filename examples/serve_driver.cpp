@@ -385,7 +385,6 @@ int main(int argc, char** argv) {
   service.shutdown();
   if (chaos != nullptr) io::setPolicy(nullptr);
   const ServiceStats stats = service.stats();
-  const InferenceBatcher::Stats bstats = service.batcherStats();
   const std::size_t trips = service.breakers().totalTrips();
   const double p50 = percentile(latencies, 50.0);
   const double p99 = percentile(latencies, 99.0);
@@ -420,10 +419,7 @@ int main(int argc, char** argv) {
     std::printf("serve_requests_per_sec=%.2f\n",
                 serve_sec > 0.0 ? static_cast<double>(resolved) / serve_sec
                                 : 0.0);
-    std::printf("batch_calls=%zu\n", bstats.calls);
-    std::printf("batches=%zu\n", bstats.batches);
-    std::printf("batched_calls=%zu\n", bstats.batched_calls);
-    std::printf("max_batch=%zu\n", bstats.max_batch);
+    std::printf("inferences=%zu\n", stats.inferences);
     std::printf("oz_memo_hits=%zu\n", stats.oz_memo_hits);
     std::printf("oz_memo_misses=%zu\n", stats.oz_memo_misses);
     std::printf("oz_memo_bytes=%zu\n", stats.oz_memo_bytes);
@@ -467,13 +463,12 @@ int main(int argc, char** argv) {
         "deadline_expired=%zu\n"
         "[serve] latency p50 %.1fms p99 %.1fms max %.1fms, "
         "max overshoot %.1fms, violations=%zu\n"
-        "[serve] batching: %zu calls in %zu batches (%zu batched, max %zu)\n"
+        "[serve] inferences=%zu\n"
         "[serve] -Oz memo: hits=%zu misses=%zu bytes=%zu\n",
         requests, ok, rejected, shut_down, level_counts[0], level_counts[1],
         level_counts[2], level_counts[3], stats.faults, stats.retries, trips,
         stats.deadline_expired, p50, p99, stats.max_latency_ms,
-        max_overshoot_ms, violations, bstats.calls, bstats.batches,
-        bstats.batched_calls, bstats.max_batch, stats.oz_memo_hits,
+        max_overshoot_ms, violations, stats.inferences, stats.oz_memo_hits,
         stats.oz_memo_misses, stats.oz_memo_bytes);
     if (online != nullptr) {
       std::printf(

@@ -178,8 +178,10 @@ void SnapshotRegistry::reclaimLocked() {
 }
 
 std::uint64_t SnapshotRegistry::currentVersion() const {
-  const PolicySnapshot* snap = current_.load(std::memory_order_seq_cst);
-  return snap != nullptr ? snap->version : 0;
+  // Read through a pin: a concurrent publish may retire and free an
+  // unpinned current_ between the load and the dereference.
+  const Pin p = pin();
+  return p ? p->version : 0;
 }
 
 SnapshotRegistry::Stats SnapshotRegistry::stats() const {

@@ -46,8 +46,7 @@ CompileService::CompileService(const DoubleDqn& agent,
     : agent_(&agent),
       actions_(std::move(actions)),
       config_(config),
-      breakers_(actions_.size(), config.breaker),
-      batcher_(config.batcher) {
+      breakers_(actions_.size(), config.breaker) {
   POSETRL_CHECK(!actions_.empty(), "service needs a non-empty action space");
   POSETRL_CHECK(config_.workers > 0, "service needs at least one worker");
   // Serving depends on containment: an uncontained pass fault must never
@@ -62,10 +61,6 @@ void CompileService::start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_ || !accepting_) return;
   started_ = true;
-  if (config_.batch_inference) {
-    batcher_.start();
-    batching_.store(true, std::memory_order_release);
-  }
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this, i] { workerLoop(i); });
@@ -90,11 +85,6 @@ void CompileService::shutdown() {
     if (t.joinable()) t.join();
   }
   if (reaper.joinable()) reaper.join();
-  // Workers are gone; the batcher can stop (it drains before joining, so
-  // nothing a worker queued is dropped). Synchronous compile() callers fall
-  // back to unbatched inference from here on.
-  batching_.store(false, std::memory_order_release);
-  batcher_.stop();
   std::deque<Request> leftover;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -256,15 +246,13 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   // Pin the policy for the whole request: with an online learner the
   // request is served on the snapshot current at admission and keeps using
   // it across any number of hot-swaps (the pin blocks its reclamation);
-  // without one, the fixed constructor agent serves with key 0.
+  // without one, the fixed constructor agent serves.
   SnapshotRegistry::Pin pin;
   const Mlp* policy = &agent_->onlineNet();
-  std::uint64_t policy_key = 0;
   if (config_.online != nullptr) {
     pin = config_.online->registry().pin();
     if (pin) {
       policy = &pin->net;
-      policy_key = pin->version;
       r.policy_version = pin->version;
     }
   }
@@ -330,7 +318,7 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
       break;
     }
 
-    const std::size_t action = selectAction(*policy, policy_key, state, mask);
+    const std::size_t action = selectAction(*policy, state, mask);
     if (!breakers_.tryAcquire(action)) {
       // Raced with another worker (breaker opened or probe slot claimed
       // between mask snapshot and acquire); re-pick with a fresh mask.
@@ -501,12 +489,10 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   return r;
 }
 
-std::size_t CompileService::selectAction(const Mlp& net, std::uint64_t net_key,
+std::size_t CompileService::selectAction(const Mlp& net,
                                          const Embedding& state,
                                          const std::vector<bool>& mask) {
-  if (batching_.load(std::memory_order_acquire)) {
-    return batcher_.actGreedy(net, net_key, state, &mask);
-  }
+  inferences_.fetch_add(1, std::memory_order_relaxed);
   return maskedArgmax(net.forward(state), &mask);
 }
 
@@ -579,6 +565,7 @@ ServiceStats CompileService::stats() const {
   s.oz_memo_hits = memo.hits;
   s.oz_memo_misses = memo.misses;
   s.oz_memo_bytes = memo.bytes;
+  s.inferences = inferences_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -36,8 +36,10 @@
 /// snapshot for its whole lifetime (hot-swaps never affect in-flight work),
 /// each served episode is appended to a write-ahead log and fed to the
 /// background learner, and each response is reported to the promotion
-/// watchdog that can roll a bad policy back. Inference is micro-batched
-/// across workers (ServeConfig::batch_inference) either way.
+/// watchdog that can roll a bad policy back. Either way each greedy act is
+/// one forward pass of the request's pinned network on the worker's own
+/// thread — no cross-worker queue, so concurrent requests never wait on
+/// each other's inference.
 ///
 /// Thread-safety contract: the agent is shared by const reference and only
 /// its pure-const inference surface is used (see rl/dqn.h); all registered
@@ -60,7 +62,6 @@
 
 #include "core/environment.h"
 #include "core/oz_sequence.h"
-#include "online/batcher.h"
 #include "online/online_learner.h"
 #include "rl/dqn.h"
 #include "serve/circuit_breaker.h"
@@ -121,13 +122,6 @@ struct ServeConfig {
   /// hot-swaps), every served episode is durably ingested for training, and
   /// every response feeds the promotion watchdog. Must outlive the service.
   OnlineLearner* online = nullptr;
-  /// Micro-batch greedy inference across concurrent workers: one
-  /// Mlp::forwardBatch GEMM per gathered batch instead of N matVec chains.
-  /// Bit-identical action selection either way (see online/batcher.h); only
-  /// the started worker pool batches — compile() on a stopped service falls
-  /// back to unbatched inference.
-  bool batch_inference = true;
-  BatcherConfig batcher;
 };
 
 /// Outcome of one request.
@@ -178,6 +172,21 @@ struct ServiceStats {
   std::size_t oz_memo_hits = 0;
   std::size_t oz_memo_misses = 0;
   std::size_t oz_memo_bytes = 0;
+  /// Greedy forward passes run (one per rollout act, inline on the
+  /// requesting thread).
+  std::size_t inferences = 0;
+};
+
+/// Greedy-inference counters in the shape of the retired micro-batcher's
+/// stats. Exists only because the end-to-end benchmark (e2ebench/) reads
+/// CompileService::batcherStats() as this type; inference runs inline, so
+/// every act is its own batch of one.
+struct InferenceBatcher {
+  struct Stats {
+    std::size_t calls = 0;
+    std::size_t batches = 0;    ///< Always equal to `calls`.
+    std::size_t max_batch = 0;  ///< 1 once any act has run.
+  };
 };
 
 /// Thread-pool policy server over one shared trained agent.
@@ -210,7 +219,10 @@ class CompileService {
   ServiceStats stats() const;
   BreakerBank& breakers() { return breakers_; }
   const std::vector<SubSequence>& actions() const { return actions_; }
-  InferenceBatcher::Stats batcherStats() const { return batcher_.stats(); }
+  InferenceBatcher::Stats batcherStats() const {
+    const std::size_t n = inferences_.load(std::memory_order_relaxed);
+    return {n, n, n > 0 ? 1u : 0u};
+  }
 
  private:
   struct Request {
@@ -231,9 +243,8 @@ class CompileService {
                             const char* where);
   void recordResult(const ServeResult& r);
   /// Greedy action under \p net (the pinned snapshot's network, or the
-  /// fixed agent's online net) — micro-batched when the batcher runs.
-  std::size_t selectAction(const Mlp& net, std::uint64_t net_key,
-                           const Embedding& state,
+  /// fixed agent's online net), computed on the calling thread.
+  std::size_t selectAction(const Mlp& net, const Embedding& state,
                            const std::vector<bool>& mask);
   /// Feeds the online learner after a response: durable episode ingest plus
   /// one watchdog observation. No-op without an online learner.
@@ -245,8 +256,7 @@ class CompileService {
   ServeConfig config_;
   BreakerBank breakers_;
   OzMemo oz_memo_;
-  InferenceBatcher batcher_;
-  std::atomic<bool> batching_{false};
+  std::atomic<std::size_t> inferences_{0};  ///< selectAction calls.
 
   mutable std::mutex mu_;
   std::condition_variable cv_;       ///< Wakes workers (new request/shutdown).

@@ -3,17 +3,20 @@
 /// policy lifecycle"): WAL framing, segment rotation, torn-tail recovery at
 /// every truncation offset, mid-log corruption detection; the lock-free
 /// snapshot registry (pin semantics, epoch reclamation, concurrent swap
-/// churn); micro-batched inference equivalence; the canary gate; the
-/// promotion watchdog state machine; and OnlineLearner crash recovery
-/// (bit-exact replay-shard reconstruction, snapshot persistence, automatic
-/// rollback) plus the CompileService end-to-end ingest loop.
+/// churn); the canary gate; the promotion watchdog state machine; and
+/// OnlineLearner crash recovery (bit-exact replay-shard reconstruction,
+/// snapshot persistence, automatic rollback) plus the CompileService
+/// end-to-end ingest loop and its per-request policy pinning under
+/// hot-swaps.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -26,7 +29,6 @@
 #include "ir/instruction.h"
 #include "ir/module.h"
 #include "ir/parser.h"
-#include "online/batcher.h"
 #include "online/canary.h"
 #include "online/online_learner.h"
 #include "online/snapshot.h"
@@ -365,6 +367,16 @@ TEST(SnapshotTest, ConcurrentSwapChurn) {
       }
     });
   }
+  // A reader that never pins: currentVersion() must not touch a snapshot
+  // the publisher is reclaiming.
+  readers.emplace_back([&] {
+    std::uint64_t last_seen = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint64_t v = registry.currentVersion();
+      ASSERT_GE(v, last_seen);
+      last_seen = v;
+    }
+  });
   for (std::uint64_t v = 2; v <= 40; ++v) {
     registry.publish(std::make_unique<PolicySnapshot>(v, 0,
                                                       agent.onlineNet()));
@@ -399,82 +411,6 @@ TEST(SnapshotTest, PersistRoundtrip) {
   std::istringstream blob(loaded.net_blob);
   net.load(blob);
   EXPECT_EQ(hashMlpWeights(net), snap.hash);
-}
-
-// --- micro-batched inference -----------------------------------------------
-
-TEST(BatcherTest, BatchedActionsMatchUnbatchedInference) {
-  const DqnConfig cfg = tinyDqnConfig();
-  DoubleDqn agent(cfg);
-  const Mlp& net = agent.onlineNet();
-  InferenceBatcher batcher;
-  batcher.start();
-
-  Rng rng(31);
-  std::vector<std::vector<double>> states;
-  std::vector<std::vector<bool>> masks;
-  for (int i = 0; i < 64; ++i) {
-    std::vector<double> state;
-    for (std::size_t d = 0; d < cfg.state_dim; ++d) {
-      state.push_back(rng.nextDouble(-1.0, 1.0));
-    }
-    states.push_back(std::move(state));
-    std::vector<bool> mask(cfg.num_actions);
-    for (std::size_t a = 0; a < cfg.num_actions; ++a) {
-      mask[a] = rng.nextBool(0.3);
-    }
-    mask[rng.nextBelow(cfg.num_actions)] = false;
-    masks.push_back(std::move(mask));
-  }
-
-  std::vector<std::thread> threads;
-  std::vector<std::size_t> got(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    threads.emplace_back([&, i] {
-      got[i] = batcher.actGreedy(net, 1, states[i], &masks[i]);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  batcher.stop();
-
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    EXPECT_EQ(got[i], agent.actGreedy(states[i], &masks[i])) << "i=" << i;
-  }
-  const InferenceBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.calls, states.size());
-  EXPECT_GT(stats.batches, 0u);
-}
-
-TEST(BatcherTest, GroupsByNetworkKey) {
-  // Two different networks in flight concurrently (a hot swap in progress):
-  // entries must only ever batch with same-key entries, so each call gets
-  // its own network's answer.
-  const DqnConfig cfg = tinyDqnConfig();
-  DoubleDqn agent(cfg);
-  Mlp net_a = agent.onlineNet();
-  Mlp net_b = agent.onlineNet();
-  std::vector<double> qa(cfg.num_actions, 0.0), qb(cfg.num_actions, 0.0);
-  qa[1] = 1.0;
-  qb[3] = 1.0;
-  net_a.setConstantOutput(qa);
-  net_b.setConstantOutput(qb);
-
-  InferenceBatcher batcher;
-  batcher.start();
-  const std::vector<double> state(cfg.state_dim, 0.5);
-  std::vector<std::thread> threads;
-  std::vector<std::size_t> got(32);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    threads.emplace_back([&, i] {
-      const Mlp& net = (i % 2 == 0) ? net_a : net_b;
-      got[i] = batcher.actGreedy(net, i % 2 == 0 ? 10 : 20, state, nullptr);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  batcher.stop();
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], i % 2 == 0 ? 1u : 3u) << "i=" << i;
-  }
 }
 
 // --- watchdog --------------------------------------------------------------
@@ -1004,6 +940,102 @@ TEST(OnlineServeTest, ServiceIngestsEpisodesAndStampsPolicyVersions) {
   for (std::size_t s = 0; s < recovered.numShards(); ++s) {
     EXPECT_EQ(saveShard(recovered.buffer(), s), images[s]) << "shard " << s;
   }
+}
+
+TEST(OnlineServeTest, HotSwapsNeverMixPoliciesWithinARequest) {
+  // Two constant-output policies with different argmax actions are swapped
+  // in alternately while requests are in flight. Each request pins one
+  // snapshot for its whole rollout, so every step of an ingested episode
+  // must carry the action of the version stamped on it.
+  const std::string dir = freshDir("online_serve_swap");
+  std::vector<std::unique_ptr<Module>> programs;
+  for (std::uint64_t seed = 90; seed < 94; ++seed) {
+    ProgramSpec spec;
+    spec.seed = seed;
+    spec.kernels = 2;
+    programs.push_back(generateProgram(spec));
+  }
+  const std::vector<SubSequence> actions = manualSubSequences();
+  DqnConfig acfg;
+  acfg.state_dim = 24;
+  acfg.num_actions = actions.size();
+  acfg.hidden = {8};  // small snapshot files: promotions persist each one
+  const DoubleDqn agent(acfg);
+
+  OnlineLearnerConfig ocfg;
+  ocfg.dir = dir;
+  ocfg.num_shards = 2;
+  ocfg.promote_every = 0;
+  ocfg.env.embedding.dim = 24;
+  ocfg.env.episode_length = 12;
+  // Constant policies often lose to -Oz; the watchdog must not roll them
+  // back, or the rollback version would serve a third policy.
+  ocfg.watchdog.min_observations = 1u << 20;
+  OnlineLearner learner(agent, actions, ocfg);
+  learner.start();
+
+  std::map<std::uint64_t, std::size_t> action_of;
+  const std::size_t kActions[2] = {1, 3};
+  const auto promote = [&] {
+    const std::size_t action = kActions[action_of.size() % 2];
+    Mlp net = agent.onlineNet();
+    std::vector<double> q(actions.size(), 0.0);
+    q[action] = 1.0;
+    net.setConstantOutput(q);
+    action_of[learner.forcePromote(std::move(net))] = action;
+  };
+  promote();  // no request ever runs on the unconstrained seed policy
+
+  ServeConfig scfg;
+  scfg.workers = 4;
+  scfg.env = ocfg.env;
+  scfg.online = &learner;
+  CompileService service(agent, actions, scfg);
+  std::atomic<bool> serving{true};
+  std::thread swapper([&] {
+    while (serving.load()) {
+      promote();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::future<ServeResult>> futures;
+  for (int round = 0; round < 6; ++round) {
+    if (round == 1) {
+      // Round 0 is served; once one more swap lands, every later request
+      // pins a newer version than any round-0 request did.
+      for (auto& f : futures) f.wait();
+      const std::uint64_t served_on = learner.currentVersion();
+      while (learner.currentVersion() == served_on) std::this_thread::yield();
+    }
+    for (const auto& program : programs) {
+      futures.push_back(service.submit(*program, Deadline::never()));
+    }
+  }
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, ServeStatus::Ok);
+  }
+  serving.store(false);
+  swapper.join();
+  service.shutdown();
+  learner.drain();
+  learner.stop();
+
+  const WalReplay replay = replayWal(dir + "/wal");
+  EXPECT_EQ(replay.episodes.size(), futures.size());
+  std::map<std::uint64_t, std::size_t> episodes_by_version;
+  for (const EpisodeRecord& rec : replay.episodes) {
+    ASSERT_EQ(action_of.count(rec.policy_version), 1u)
+        << "request " << rec.request_id << " stamped v"
+        << rec.policy_version;
+    ++episodes_by_version[rec.policy_version];
+    ASSERT_FALSE(rec.steps.empty());
+    for (const Transition& t : rec.steps) {
+      EXPECT_EQ(t.action, action_of.at(rec.policy_version))
+          << "request " << rec.request_id << " v" << rec.policy_version;
+    }
+  }
+  // Requests after round 0 ran on a newer version than round 0 did.
+  EXPECT_GE(episodes_by_version.size(), 2u);
 }
 
 }  // namespace

@@ -525,6 +525,52 @@ TEST(CompileServiceTest, ReaperBoundsQueuedExpiredLatency) {
   }
 }
 
+TEST(CompileServiceTest, WorkerPoolMatchesSynchronousCompile) {
+  // Workers select actions inline on their own threads; concurrency must
+  // not change any decision. Every response from a started 4-worker pool
+  // must equal compile() on a never-started service over the same agent.
+  ServeFixture fx;
+  std::vector<std::unique_ptr<Module>> programs;
+  for (std::uint64_t seed = 800; seed < 816; ++seed) {
+    ProgramSpec spec;
+    spec.seed = seed;
+    spec.kernels = 2;
+    programs.push_back(generateProgram(spec));
+  }
+  // Without the -Oz comparison every response is the rollout's own output,
+  // so each compared action_sequence is a whole rollout's decisions.
+  ServeConfig sync_cfg = fx.serveConfig();
+  sync_cfg.verify_against_oz = false;
+  sync_cfg.start_workers = false;
+  CompileService sync_service(*fx.agent, fx.actions, sync_cfg);
+  ServeConfig pool_cfg = sync_cfg;
+  pool_cfg.workers = 4;
+  pool_cfg.start_workers = true;
+  CompileService pool(*fx.agent, fx.actions, pool_cfg);
+
+  std::vector<std::future<ServeResult>> futures;
+  for (const auto& program : programs) {
+    futures.push_back(pool.submit(*program, Deadline::never()));
+  }
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const ServeResult got = futures[i].get();
+    const ServeResult want = sync_service.compile(*programs[i],
+                                                  Deadline::never());
+    ASSERT_EQ(got.status, ServeStatus::Ok);
+    ASSERT_EQ(want.status, ServeStatus::Ok);
+    EXPECT_EQ(got.level, ServiceLevel::FullRollout) << got.degraded_reason;
+    EXPECT_EQ(got.level, want.level) << "program " << i;
+    EXPECT_EQ(got.action_sequence, want.action_sequence) << "program " << i;
+    EXPECT_EQ(got.size_bytes, want.size_bytes) << "program " << i;
+    ASSERT_NE(got.optimized, nullptr);
+    ASSERT_NE(want.optimized, nullptr);
+    EXPECT_EQ(printModule(*got.optimized), printModule(*want.optimized))
+        << "program " << i;
+  }
+  EXPECT_GT(pool.stats().inferences, 0u);
+  EXPECT_EQ(pool.stats().inferences, sync_service.stats().inferences);
+}
+
 TEST(CompileServiceStressTest, ConcurrentFaultyRequestsKeepAllGuarantees) {
   ServeFixture fx(/*inject_faults=*/true, /*train=*/30);
   ServeConfig cfg = fx.serveConfig();

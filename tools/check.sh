@@ -350,7 +350,7 @@ if [[ $TSAN -eq 1 ]]; then
 
   echo "== online learning under ThreadSanitizer =="
   # The full crash + recovery + rollback drill with every thread the online
-  # loop spawns (workers, reaper, batcher, learner) racing: a clean TSan run
+  # loop spawns (workers, reaper, learner) racing: a clean TSan run
   # certifies the snapshot hot-swap, WAL ingest, and watchdog paths.
   TSAN_ONLINE="$(mktemp -d)"
   set +e
@@ -376,20 +376,23 @@ if [[ $TSAN -eq 1 ]]; then
     status=1
   fi
   rm -rf "$TSAN_ONLINE"
-  # Swap-churn and batcher unit tests (tight publish/pin/reclaim and
-  # batching races the driver cannot reach as directly), the GEMM
-  # bit-identity suite (its forced-mode dispatch pokes the atomic SIMD-mode
-  # slot the parallel trainer's actors read concurrently), 4 workers
-  # sharing the -Oz memo on repeated programs, and many threads cloning one
-  # module (cloneModule must be a pure read of its source).
-  TSAN_FILTER='SnapshotTest.ConcurrentSwapChurn:BatcherTest.*:SimdTest.*'
+  # Swap-churn unit test (tight publish/pin/reclaim races the driver cannot
+  # reach as directly), 4 workers against a synchronous compile() and hot
+  # swaps landing mid-request (inline inference on pinned policies), the
+  # GEMM bit-identity suite (its forced-mode dispatch pokes the atomic
+  # SIMD-mode slot the parallel trainer's actors read concurrently), 4
+  # workers sharing the -Oz memo on repeated programs, and many threads
+  # cloning one module (cloneModule must be a pure read of its source).
+  TSAN_FILTER='SnapshotTest.ConcurrentSwapChurn:SimdTest.*'
+  TSAN_FILTER+=':CompileServiceTest.WorkerPoolMatchesSynchronousCompile'
+  TSAN_FILTER+=':OnlineServeTest.HotSwapsNeverMixPoliciesWithinARequest'
   TSAN_FILTER+=':CompileServiceStressTest.RepeatedProgramsKeepLadderGuarantees'
   TSAN_FILTER+=':ConcurrentCloneTest.*'
   if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/posetrl_tests" \
       --gtest_filter="$TSAN_FILTER" >/dev/null; then
-    echo "ok   tsan snapshot swap churn + batcher + simd + oz memo + clone tests"
+    echo "ok   tsan swap churn + worker pool + hot swap + simd + oz memo + clone tests"
   else
-    echo "FAIL tsan snapshot swap churn + batcher + simd + oz memo + clone tests"
+    echo "FAIL tsan swap churn + worker pool + hot swap + simd + oz memo + clone tests"
     status=1
   fi
 
