@@ -52,6 +52,10 @@ CompileService::CompileService(const DoubleDqn& agent,
   // Serving depends on containment: an uncontained pass fault must never
   // take down the process, so the sandbox is not optional here.
   config_.env.sandbox_actions = true;
+  for (std::size_t i = 0; i < config_.workers; ++i) {
+    RungThread& t = *rung_threads_.emplace_back(std::make_unique<RungThread>());
+    t.thread = std::thread([this, &t] { rungLoop(t); });
+  }
   if (config_.start_workers) start();
 }
 
@@ -85,6 +89,18 @@ void CompileService::shutdown() {
     if (t.joinable()) t.join();
   }
   if (reaper.joinable()) reaper.join();
+  // After the workers, whose rungs may still run; later rungs run inline.
+  std::vector<std::unique_ptr<RungThread>> rungs;
+  {
+    std::lock_guard<std::mutex> lock(rung_mu_);
+    rung_stop_ = true;
+    rung_idle_.clear();
+    rungs.swap(rung_threads_);
+  }
+  for (const auto& t : rungs) {
+    t->wake.notify_one();
+    t->thread.join();
+  }
   std::deque<Request> leftover;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -216,6 +232,66 @@ void CompileService::reaperLoop() {
   }
 }
 
+void CompileService::rungLoop(RungThread& self) {
+  // Persistent: a thread per request would start on the poster's own CPU.
+  std::unique_lock<std::mutex> lock(rung_mu_);
+  for (;;) {
+    while (!rung_queue_.empty()) {
+      OzRung& rung = *rung_queue_.front();
+      rung_queue_.pop_front();
+      rung.state = OzRung::State::Running;
+      lock.unlock();
+      rung.run();
+      lock.lock();
+      rung.state = OzRung::State::Done;
+      rung.done.notify_one();
+    }
+    if (rung_stop_) return;
+    // LIFO, so a lone caller keeps reusing one thread and malloc arena.
+    self.woken = false;
+    rung_idle_.push_back(&self);
+    self.wake.wait(lock, [&] { return self.woken || rung_stop_; });
+  }
+}
+
+void CompileService::postRung(OzRung& rung) {
+  std::lock_guard<std::mutex> lock(rung_mu_);
+  rung.state = OzRung::State::Queued;
+  rung_queue_.push_back(&rung);
+  if (rung_idle_.empty()) return;  // a busy thread drains the queue next
+  RungThread* t = rung_idle_.back();
+  rung_idle_.pop_back();
+  t->woken = true;
+  t->wake.notify_one();
+}
+
+void CompileService::joinRung(OzRung& rung, bool run_here) {
+  {
+    std::unique_lock<std::mutex> lock(rung_mu_);
+    if (rung.state == OzRung::State::Queued) {
+      // Never wait on a queued job: the caller runs it no slower here.
+      rung_queue_.erase(
+          std::find(rung_queue_.begin(), rung_queue_.end(), &rung));
+      rung.state = OzRung::State::Idle;
+    }
+    rung.done.wait(lock,
+                   [&] { return rung.state != OzRung::State::Running; });
+    if (!run_here) return;
+  }
+  if (rung.state == OzRung::State::Idle) rung.run();
+}
+
+void CompileService::OzRung::run() {
+  auto oz = cloneModule(program);
+  // Re-derive the naming counters from the names, as the parser does: the
+  // output, fresh names included, then depends on the printed input alone,
+  // which is what the memo compares.
+  for (const auto& f : oz->functions()) f->resetNameCounters();
+  const SandboxOutcome out = runActionSandboxed(oz, ozPassNames(), sandbox);
+  if (out.ok) output = std::move(oz);
+  fault = out.fault;
+}
+
 ServeResult CompileService::expireRequest(const Module& program,
                                           std::uint64_t id,
                                           const char* where) {
@@ -258,8 +334,8 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   }
   std::vector<Transition> episode;
 
-  // The rollout gets the head of the deadline; the tail is reserved for the
-  // -Oz fallback rung so a slow rollout cannot starve the safety net.
+  // The rollout gets the head of the deadline; the tail is left for a -Oz
+  // rung that runs after it, so a slow rollout cannot starve the safety net.
   const Deadline rollout_deadline =
       deadline.fractionFromNow(1.0 - config_.oz_reserve, t0);
 
@@ -272,6 +348,21 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   PhaseOrderEnv env(program, actions_, env_cfg);
   Embedding state = env.reset();
   r.base_size_bytes = env.baseSize();
+
+  // Ladder rung 3, stock -Oz, starts now beside the rollout, sandboxed
+  // within the full deadline, unless the memo has the input. The key hashes
+  // the worker's private copy: hashing the shared input would stamp it while
+  // other threads read it.
+  const std::uint64_t key = env.programHash();
+  SandboxConfig oz_sandbox = sandboxConfigFor(env_cfg);
+  oz_sandbox.deadline = deadline;
+  OzRung rung(*this, program, oz_sandbox);
+  bool want_oz = config_.verify_against_oz && !deadline.expired();
+  OzMemo::Probe probe;
+  if (want_oz) {
+    probe = oz_memo_.lookup(key, program);
+    if (probe.hit == nullptr) postRung(rung);
+  }
 
   // Best-prefix-so-far tracking; the empty prefix (input as-is) is the
   // starting point, so a rollout that never improves degrades cleanly. An
@@ -423,38 +514,32 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
     if (r.degraded_reason.empty()) r.degraded_reason = "rollout cut short";
   }
 
-  // Ladder rung 3: stock -Oz, inside the full request deadline, sandboxed so
-  // even a misbehaving stock pipeline degrades to identity instead of
-  // crashing the worker. A repeated input is served from the memo: its
-  // stored output is parsed only when it beats the rollout.
-  const bool want_oz = config_.verify_against_oz || candidate == nullptr;
-  if (want_oz && !deadline.expired()) {
-    const std::uint64_t key = env.programHash();
-    const OzMemo::Probe probe = oz_memo_.lookup(key, program);
+  // Ladder rung 3 ends here (verify-off: runs here, for want of a candidate).
+  // A memo hit's stored output is parsed only when it beats the rollout.
+  if (!config_.verify_against_oz && candidate == nullptr &&
+      !deadline.expired()) {
+    want_oz = true;
+    probe = oz_memo_.lookup(key, program);
+  }
+  if (want_oz) {
     std::unique_ptr<Module> oz;
     if (probe.hit != nullptr) {
       r.oz_verified = true;
       r.oz_size_bytes = probe.hit->size_bytes;
     } else {
-      oz = cloneModule(program);
-      // Re-derive the naming counters from the names, as the parser does:
-      // the output, fresh names included, then depends on the printed input
-      // alone, which is what the memo compares.
-      for (const auto& f : oz->functions()) f->resetNameCounters();
-      SandboxConfig oz_sc = sandboxConfigFor(env_cfg);
-      oz_sc.deadline = deadline;
-      const SandboxOutcome out = runActionSandboxed(oz, ozPassNames(), oz_sc);
-      if (out.ok) {
+      joinRung(rung, /*run_here=*/true);
+      if (rung.output != nullptr) {
+        oz = std::move(rung.output);
         r.oz_verified = true;
         r.oz_size_bytes = size_model.objectBytes(*oz);
         if (probe.admissible) {
           oz_memo_.admit(key, program, *oz, r.oz_size_bytes, size_model);
         }
       } else {
-        onFault(out.fault);
+        onFault(rung.fault);
         if (candidate == nullptr && r.degraded_reason.empty()) {
           r.degraded_reason = std::string("-Oz rung faulted: ") +
-                              faultKindName(out.fault.kind);
+                              faultKindName(rung.fault.kind);
         }
       }
     }

@@ -26,7 +26,9 @@
 ///      OzPipeline   — the stock -Oz pipeline beat (or replaced) the rollout;
 ///      Identity     — nothing could be done in time; input returned as-is.
 ///    Whenever the -Oz rung completes (`oz_verified`), the response is
-///    guaranteed no worse than stock -Oz by modeled size. The rung is
+///    guaranteed no worse than stock -Oz by modeled size. The rung runs
+///    beside the rollout on one of `workers` persistent rung threads (or on
+///    the worker, if none has started it when the rollout ends). It is
 ///    memoized per service (serve/oz_memo.h): a repeated input whose printed
 ///    text equals a stored one reuses that run's output and size instead of
 ///    re-running the pipeline, and only completed runs are ever stored.
@@ -95,12 +97,14 @@ struct ServeConfig {
   /// ±backoff_jitter (fraction), capped by the request deadline.
   std::chrono::milliseconds backoff_base{1};
   double backoff_jitter = 0.5;
-  /// Fraction of the request's remaining deadline reserved for the -Oz
-  /// fallback rung; the rollout gets the rest.
+  /// Fraction of the request's remaining deadline the rollout leaves for a
+  /// -Oz rung run after it (taken back unstarted, or the verify-off
+  /// fallback). A rung run beside the rollout has the full deadline.
   double oz_reserve = 0.35;
   /// Compare every rollout output against stock -Oz (modeled size) and
   /// degrade to the -Oz result when it wins. Costs one -Oz pipeline per
-  /// request; buys the "never worse than -Oz" guarantee.
+  /// request, run beside the rollout; buys the "never worse than -Oz"
+  /// guarantee. With false, -Oz runs only if the rollout yields nothing.
   bool verify_against_oz = true;
   CircuitBreakerConfig breaker;
   /// Environment settings for rollouts (sandboxing is forced on; the
@@ -209,10 +213,11 @@ class CompileService {
   /// admission control) — same ladder, same breakers.
   ServeResult compile(const Module& program, Deadline deadline);
 
-  /// Spawns the worker pool (no-op when already started).
+  /// Spawns the worker pool (no-op when already started). The rung threads
+  /// start in the constructor, so compile() overlaps too.
   void start();
-  /// Stops workers; queued-but-unprocessed requests resolve with ShutDown.
-  /// Idempotent; also run by the destructor.
+  /// Stops workers, then rung threads; queued-but-unprocessed requests
+  /// resolve with ShutDown. Idempotent; also run by the destructor.
   void shutdown();
 
   std::size_t queueDepth() const;
@@ -233,8 +238,36 @@ class CompileService {
     Deadline::TimePoint submitted_at;
   };
 
+  /// One -Oz rung run (ladder rung 3) and its outcome. It refers to the
+  /// posting request's frame, so its destructor takes it back or waits for
+  /// it on every exit from that frame, exceptions included.
+  struct OzRung {
+    OzRung(CompileService& s, const Module& p, const SandboxConfig& sc)
+        : service(s), program(p), sandbox(sc) {}
+    CompileService& service;
+    const Module& program;
+    const SandboxConfig sandbox;
+    std::unique_ptr<Module> output;  ///< Null unless the run completed.
+    FaultReport fault;               ///< Why not, when `output` is null.
+    enum class State { Idle, Queued, Running, Done } state = State::Idle;
+    std::condition_variable done;  ///< Running -> Done, under rung_mu_.
+    void run();
+    ~OzRung() { service.joinRung(*this, /*run_here=*/false); }
+  };
+  struct RungThread {
+    std::thread thread;
+    std::condition_variable wake;
+    bool woken = false;  ///< A job was posted for this thread.
+  };
+
   void workerLoop(std::size_t worker_index);
   void reaperLoop();
+  void rungLoop(RungThread& self);
+  /// Queues \p rung and wakes the idle rung thread that finished last.
+  void postRung(OzRung& rung);
+  /// Takes back \p rung if unstarted (and with \p run_here runs it inline),
+  /// else waits for it.
+  void joinRung(OzRung& rung, bool run_here);
   ServeResult process(const Module& program, Deadline deadline,
                       std::uint64_t id, Rng& rng);
   /// Cheap Identity response for a request whose deadline expired before
@@ -270,6 +303,12 @@ class CompileService {
   std::thread reaper_;
   std::uint64_t next_id_ = 1;
   std::uint64_t sync_streams_ = 0;  ///< RNG streams handed to compile().
+
+  std::mutex rung_mu_;
+  std::deque<OzRung*> rung_queue_;       ///< Posted, not yet started.
+  std::vector<RungThread*> rung_idle_;   ///< Back finished most recently.
+  std::vector<std::unique_ptr<RungThread>> rung_threads_;
+  bool rung_stop_ = false;
 
   mutable std::mutex stats_mu_;
   ServiceStats stats_;

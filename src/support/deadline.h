@@ -58,8 +58,10 @@ class Deadline {
   TimePoint when() const { return when_; }
 
   /// A deadline \p fraction (in [0,1]) of the way from \p now to this one —
-  /// used to reserve the tail of a request's budget for fallback work (e.g.
-  /// the -Oz rung of the degradation ladder). Never stays never.
+  /// used to cap one part of a request's work and leave the tail of the
+  /// budget for what must follow it (e.g. the rollout of the degradation
+  /// ladder, which leaves time for a -Oz rung run after it). Never stays
+  /// never.
   Deadline fractionFromNow(double fraction,
                            TimePoint now = Clock::now()) const;
 

@@ -936,5 +936,108 @@ TEST(CompileServiceStressTest, RepeatedProgramsKeepLadderGuarantees) {
   EXPECT_GT(stats.oz_memo_hits, 0u);
 }
 
+TEST(CompileServiceTest, ConcurrentRungDecidesAsSequentialLadder) {
+  // The -Oz rung runs on a rung thread beside the rollout; the ladder must
+  // still pick exactly what the serial order would: the rollout's output
+  // unless stock -Oz is strictly smaller.
+  ServeFixture fx;
+  ServeConfig rollout_cfg = fx.serveConfig();
+  rollout_cfg.verify_against_oz = false;
+  rollout_cfg.start_workers = false;
+  CompileService rollout_only(*fx.agent, fx.actions, rollout_cfg);
+  ServeConfig cfg = fx.serveConfig();
+  cfg.start_workers = false;
+  CompileService service(*fx.agent, fx.actions, cfg);
+
+  for (std::uint64_t seed = 820; seed < 836; ++seed) {
+    ProgramSpec spec;
+    spec.seed = seed;
+    spec.kernels = 2;
+    const auto program = generateProgram(spec);
+    const ServeResult rollout = rollout_only.compile(*program, Deadline::never());
+    ASSERT_EQ(rollout.status, ServeStatus::Ok);
+    ASSERT_NE(rollout.optimized, nullptr);
+    double oz_size = 0.0;
+    const auto oz = ozOf(*program, &oz_size);
+    const bool oz_wins = oz_size < rollout.size_bytes;
+
+    const ServeResult got = service.compile(*program, Deadline::never());
+    ASSERT_EQ(got.status, ServeStatus::Ok);
+    ASSERT_NE(got.optimized, nullptr);
+    EXPECT_EQ(got.level, oz_wins ? ServiceLevel::OzPipeline : rollout.level)
+        << "seed " << seed;
+    EXPECT_EQ(got.size_bytes, oz_wins ? oz_size : rollout.size_bytes)
+        << "seed " << seed;
+    EXPECT_EQ(got.oz_size_bytes, oz_size) << "seed " << seed;
+    EXPECT_TRUE(got.oz_verified) << "seed " << seed;
+    EXPECT_EQ(printModule(*got.optimized),
+              printModule(oz_wins ? *oz : *rollout.optimized))
+        << "seed " << seed;
+  }
+  EXPECT_EQ(service.stats().oz_memo_misses, 16u);
+}
+
+TEST(CompileServiceTest, RungCompletesBesideAStalledRollout) {
+  // The only action spins until the wall clock cuts it, and oz_reserve = 0
+  // gives the rollout the whole deadline. Run after the rollout, the rung
+  // would find no time left; run beside it, it completes.
+  registerFaultInjectionPasses();
+  const auto program = tinyProgram(570);
+  std::vector<SubSequence> actions{{1, {"fault-hang"}}};
+  DqnConfig acfg;
+  acfg.num_actions = 1;
+  DoubleDqn agent(acfg);
+  ServeConfig cfg;
+  cfg.env.episode_length = 2;
+  // fault-hang refuses to run without a fuel budget, so give it one that
+  // only the deadline can outlast.
+  cfg.env.sandbox.pass_fuel = ~0ull / 2;
+  cfg.oz_reserve = 0.0;
+  cfg.start_workers = false;
+  CompileService service(agent, actions, cfg);
+
+  const std::int64_t deadline_ms = 300;
+  const ServeResult r =
+      service.compile(*program, Deadline::afterMillis(deadline_ms));
+  ASSERT_EQ(r.status, ServeStatus::Ok);
+  EXPECT_EQ(r.level, ServiceLevel::OzPipeline) << r.degraded_reason;
+  EXPECT_TRUE(r.oz_verified);
+  EXPECT_TRUE(r.deadline_expired);
+  ASSERT_NE(r.optimized, nullptr);
+  double oz_size = 0.0;
+  EXPECT_EQ(printModule(*r.optimized), printModule(*ozOf(*program, &oz_size)));
+  EXPECT_EQ(r.size_bytes, oz_size);
+  EXPECT_LE(r.latency_ms, static_cast<double>(deadline_ms + 100));
+}
+
+TEST(CompileServiceTest, SharedInputConcurrentRungs) {
+  // One module object, eight requests in flight on four workers: rung
+  // threads clone it while workers build environments from it, look it up
+  // in the memo and admit it (both print it).
+  ServeFixture fx;
+  ServeConfig cfg = fx.serveConfig();
+  cfg.workers = 4;
+  CompileService service(*fx.agent, fx.actions, cfg);
+  const Module& program = *fx.corpus[0];
+  double oz_size = 0.0;
+  ozOf(program, &oz_size);
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(service.submit(program, Deadline::never()));
+  }
+  for (auto& f : futures) {
+    const ServeResult r = f.get();
+    ASSERT_EQ(r.status, ServeStatus::Ok);
+    ASSERT_TRUE(r.oz_verified) << r.degraded_reason;
+    EXPECT_EQ(r.oz_size_bytes, oz_size);
+    EXPECT_LE(r.size_bytes, r.oz_size_bytes);
+    ASSERT_NE(r.optimized, nullptr);
+    EXPECT_TRUE(verifyModule(*r.optimized).ok());
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.oz_memo_hits + stats.oz_memo_misses, 8u);
+}
+
+
 }  // namespace
 }  // namespace posetrl

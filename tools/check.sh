@@ -350,8 +350,8 @@ if [[ $TSAN -eq 1 ]]; then
 
   echo "== online learning under ThreadSanitizer =="
   # The full crash + recovery + rollback drill with every thread the online
-  # loop spawns (workers, reaper, learner) racing: a clean TSan run
-  # certifies the snapshot hot-swap, WAL ingest, and watchdog paths.
+  # loop spawns (workers, rung threads, reaper, learner) racing: a clean
+  # TSan run certifies the snapshot hot-swap, WAL ingest, and watchdog paths.
   TSAN_ONLINE="$(mktemp -d)"
   set +e
   TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/examples/serve_driver" \
@@ -381,18 +381,23 @@ if [[ $TSAN -eq 1 ]]; then
   # swaps landing mid-request (inline inference on pinned policies), the
   # GEMM bit-identity suite (its forced-mode dispatch pokes the atomic
   # SIMD-mode slot the parallel trainer's actors read concurrently), 4
-  # workers sharing the -Oz memo on repeated programs, and many threads
-  # cloning one module (cloneModule must be a pure read of its source).
+  # workers sharing the -Oz memo on repeated programs, many threads cloning
+  # one module (cloneModule must be a pure read of its source), and the -Oz
+  # rung running on rung threads beside the rollout (job handoff, take-back,
+  # and rung threads cloning an input that workers clone and print).
   TSAN_FILTER='SnapshotTest.ConcurrentSwapChurn:SimdTest.*'
   TSAN_FILTER+=':CompileServiceTest.WorkerPoolMatchesSynchronousCompile'
   TSAN_FILTER+=':OnlineServeTest.HotSwapsNeverMixPoliciesWithinARequest'
   TSAN_FILTER+=':CompileServiceStressTest.RepeatedProgramsKeepLadderGuarantees'
   TSAN_FILTER+=':ConcurrentCloneTest.*'
+  TSAN_FILTER+=':CompileServiceTest.ConcurrentRungDecidesAsSequentialLadder'
+  TSAN_FILTER+=':CompileServiceTest.RungCompletesBesideAStalledRollout'
+  TSAN_FILTER+=':CompileServiceTest.SharedInputConcurrentRungs'
   if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/posetrl_tests" \
       --gtest_filter="$TSAN_FILTER" >/dev/null; then
-    echo "ok   tsan swap churn + worker pool + hot swap + simd + oz memo + clone tests"
+    echo "ok   tsan swap churn + worker pool + hot swap + simd + oz memo + clone + rung thread tests"
   else
-    echo "FAIL tsan swap churn + worker pool + hot swap + simd + oz memo + clone tests"
+    echo "FAIL tsan swap churn + worker pool + hot swap + simd + oz memo + clone + rung thread tests"
     status=1
   fi
 
