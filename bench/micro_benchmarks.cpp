@@ -29,6 +29,7 @@
 #include "passes/pass.h"
 #include "rl/dqn.h"
 #include "support/arena.h"
+#include "support/rng.h"
 #include "target/mca_model.h"
 #include "target/size_model.h"
 #include "workloads/generator.h"
@@ -158,17 +159,34 @@ BENCHMARK(BM_FullOzPipeline);
 
 // The sandboxed -Oz rung as the serve path runs it (all checks on): passes,
 // per-pass fast verifier and contract checker, one run-local analysis cache.
-void BM_OzRungSandboxed(benchmark::State& state) {
-  auto base = benchProgram();
+// One pool-like program per kernel count (the argument, 2..15, as in the
+// e2ebench request pool); `walks` is fingerprint walks per rung and
+// `walks_per_boundary` divides it by passes x defined functions.
+void BM_SandboxedOzRung(benchmark::State& state) {
+  const auto kernels = static_cast<int>(state.range(0));
+  auto base = benchProgram(Rng::forStream(0x4e0e57, kernels).next(), kernels);
+  std::size_t defined = 0;
+  for (const auto& f : base->functions()) defined += !f->isDeclaration();
   const SandboxConfig sc = sandboxConfigFor(EnvConfig{});
+  std::uint64_t walks = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto m = cloneModule(*base);
+    const std::uint64_t walks_before = fingerprintCounts().walks;
     state.ResumeTiming();
     benchmark::DoNotOptimize(runActionSandboxed(m, ozPassNames(), sc).ok);
+    state.PauseTiming();
+    walks += fingerprintCounts().walks - walks_before;
+    m.reset();
+    state.ResumeTiming();
   }
+  const double rungs = static_cast<double>(state.iterations());
+  state.counters["walks"] = static_cast<double>(walks) / rungs;
+  state.counters["walks_per_boundary"] =
+      static_cast<double>(walks) / rungs /
+      static_cast<double>(ozPassNames().size() * defined);
 }
-BENCHMARK(BM_OzRungSandboxed);
+BENCHMARK(BM_SandboxedOzRung)->DenseRange(2, 15)->Unit(benchmark::kMillisecond);
 
 // Dominator trees of every function of the unoptimized program.
 void BM_DominatorTree(benchmark::State& state) {

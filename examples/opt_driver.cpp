@@ -18,7 +18,9 @@
 ///   --json       print machine-readable reports instead of tables
 ///   --kv         print stable key=value lines (one per line) instead of
 ///                tables — the scripting-friendly companion to --json, used
-///                by tools/check.sh; currently implemented for --train
+///                by tools/check.sh; --train prints its stats, a pass run
+///                prints fingerprint_walks= and fingerprint_memo_hits= (the
+///                fingerprint work counters, analysis/analysis_manager.h)
 /// Fault tolerance:
 ///   --sandbox            apply the passes under snapshot/rollback; a fault
 ///                        prints a FaultReport and exits non-zero
@@ -51,6 +53,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis/analysis_manager.h"
 #include "core/oz_sequence.h"
 #include "core/trainer.h"
 #include "faults/injection.h"
@@ -363,6 +366,13 @@ int main(int argc, char** argv) {
     }
   }
   report("after ", *m, run);
+  if (kv) {
+    const FingerprintCounts& fc = fingerprintCounts();
+    std::printf("fingerprint_walks=%llu\n",
+                static_cast<unsigned long long>(fc.walks));
+    std::printf("fingerprint_memo_hits=%llu\n",
+                static_cast<unsigned long long>(fc.memo_hits));
+  }
   if (print_ir) std::printf("\n%s", printModule(*m).c_str());
   return failed ? 1 : 0;
 }

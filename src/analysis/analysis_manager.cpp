@@ -43,17 +43,35 @@ std::uint64_t bitsOfDouble(double d) {
   return u;
 }
 
+thread_local FingerprintCounts g_fingerprint_counts;
+
 }  // namespace
+
+const FingerprintCounts& fingerprintCounts() { return g_fingerprint_counts; }
 
 FunctionFingerprint fingerprintFunction(const Function& f,
                                         std::uint64_t* aux_key) {
+  Function::FingerprintMemo& memo = f.fingerprintMemo();
+  if (memo.generation == f.bodyGeneration()) {
+    ++g_fingerprint_counts.memo_hits;
+  } else {
+    ++g_fingerprint_counts.walks;
+    const FunctionFingerprint fp = walkFingerprint(f, memo.aux);
+    memo.cfg = fp.cfg;
+    memo.instrs = fp.instrs;
+    memo.generation = f.bodyGeneration();
+  }
+  if (aux_key != nullptr) *aux_key = memo.aux;
+  return {memo.cfg, memo.instrs};
+}
+
+FunctionFingerprint walkFingerprint(const Function& f, std::uint64_t& aux_key) {
   // Value-number blocks and instructions so the hash is position-based and
   // independent of pointer addresses and SSA names. Blocks are numbered by
   // their position among blocks only, so that instruction-level edits leave
   // the CFG hash untouched. Ids are stamped into a generation-tagged
   // scratch slot on the Value itself (Value::stampFingerprintId): operand
-  // resolution is then two member loads instead of a hash-map probe, which
-  // dominated this walk — and it runs once per function per pass boundary.
+  // resolution is then two member loads instead of a hash-map probe.
   const std::uint64_t gen = Value::nextStampGeneration();
   std::uint64_t next_block = 1;
   std::uint64_t next_inst = 1;
@@ -108,25 +126,22 @@ FunctionFingerprint fingerprintFunction(const Function& f,
   // Names, linkage and function attributes are deliberately excluded:
   // renames and attribute-only passes are no-ops to every cached analysis.
   std::uint64_t aux = kFnvOffset;
-  if (aux_key != nullptr)
-    for (const auto& a : f.args()) aux = hashCombine(aux, a->numUses());
+  for (const auto& a : f.args()) aux = hashCombine(aux, a->numUses());
 
   std::uint64_t h = hashCombine(cfg, hashType(f.functionType()));
   for (const auto& b : f.blocks()) {
     h = hashCombine(h, b->fingerprintId());
-    if (aux_key != nullptr) aux = hashCombine(aux, b->numUses());
+    aux = hashCombine(aux, b->numUses());
     for (const auto& inst : b->insts()) {
-      if (aux_key != nullptr) {
-        aux = hashCombine(aux, inst->numUses());
-        aux = hashCombine(aux, inst->name().empty() ? 0u : 1u);
-      }
+      aux = hashCombine(aux, inst->numUses());
+      aux = hashCombine(aux, inst->name().empty() ? 0u : 1u);
       h = hashInstAttrs(h, inst->attrs());
       h = hashCombine(h, inst->numOperands());
       for (const Value* op : inst->operands()) h = hashCombine(h, valueId(op));
     }
   }
   fp.instrs = h;
-  if (aux_key != nullptr) *aux_key = aux;
+  aux_key = aux;
   return fp;
 }
 
@@ -179,11 +194,6 @@ struct AnalysisManager::FuncEntry {
     return dom || loops || liveness || reaching || def_use || ranges;
   }
 
-  /// Freeze-window stamp: when it equals the manager's current epoch, the
-  /// entry's fingerprint was validated inside the active freeze and later
-  /// queries skip the hash walk.
-  std::uint64_t freeze_stamp = 0;
-
   /// Module::irGeneration() the cached analyses were built against. A
   /// snapshot rollback (ModuleSnapshot::restoreInto) reverts the content —
   /// so the fingerprint matches again — but recreates every block and
@@ -198,17 +208,7 @@ AnalysisManager::AnalysisManager() = default;
 AnalysisManager::~AnalysisManager() = default;
 
 AnalysisManager::FuncEntry& AnalysisManager::validated(Function& f) {
-  std::unique_ptr<FuncEntry>& slot = funcs_[&f];
-  if (frozen_ && slot && slot->freeze_stamp == freeze_epoch_ &&
-      slot->ir_gen == f.parent()->irGeneration()) {
-    return *slot;
-  }
-  noteFingerprint(f, fingerprintFunction(f));
-  return *funcs_[&f];
-}
-
-void AnalysisManager::noteFingerprint(Function& f,
-                                      const FunctionFingerprint& fp) {
+  const FunctionFingerprint fp = fingerprintFunction(f);
   std::unique_ptr<FuncEntry>& slot = funcs_[&f];
   const std::uint64_t ir_gen = f.parent()->irGeneration();
   if (!slot) {
@@ -232,14 +232,10 @@ void AnalysisManager::noteFingerprint(Function& f,
     slot->fp = fp;
   }
   slot->ir_gen = ir_gen;
-  if (frozen_) slot->freeze_stamp = freeze_epoch_;
+  return *slot;
 }
 
-const FunctionFingerprint* AnalysisManager::validatedFingerprint(
-    const Function& f) const {
-  auto it = funcs_.find(&f);
-  return it == funcs_.end() ? nullptr : &it->second->fp;
-}
+void AnalysisManager::validate(Function& f) { validated(f); }
 
 const DominatorTree& AnalysisManager::dominators(Function& f) {
   FuncEntry& e = validated(f);
@@ -308,23 +304,6 @@ const ValueRanges& AnalysisManager::valueRanges(Function& f) {
   return *e.ranges;
 }
 
-void AnalysisManager::invalidate(Function& f) {
-  auto it = funcs_.find(&f);
-  if (it == funcs_.end()) return;
-  if (it->second->hasAny()) ++stats_.invalidations;
-  funcs_.erase(it);
-}
-
-void AnalysisManager::invalidateAll() {
-  for (const auto& [fn, entry] : funcs_) {
-    (void)fn;
-    if (entry->hasAny()) ++stats_.invalidations;
-  }
-  funcs_.clear();
-  boundary_.clear();
-  boundary_recorded_ = false;
-}
-
 void AnalysisManager::recordBoundary(Module& m) {
   // reconcileBoundary re-arms the snapshot with the fingerprints it just
   // computed; between that reconcile and this record nothing in an
@@ -339,8 +318,7 @@ void AnalysisManager::recordBoundary(Module& m) {
 }
 
 BoundaryReport AnalysisManager::reconcileBoundary(
-    Module& m, const PreservedAnalyses& declared, bool reported_changed,
-    bool trust_validated) {
+    Module& m, const PreservedAnalyses& declared, bool reported_changed) {
   BoundaryReport report;
   if (!boundary_recorded_) return report;
   ++stats_.contract_checks;
@@ -350,13 +328,7 @@ BoundaryReport AnalysisManager::reconcileBoundary(
   thread_local std::unordered_map<const Function*, FunctionFingerprint> post;
   post.clear();
   for (const auto& f : m.functions()) {
-    // Declarations are excluded from trust: the fast verifier never queries
-    // them, so their stored fingerprint (if any) may predate this pass.
-    const FunctionFingerprint* known =
-        trust_validated && !f->isDeclaration() ? validatedFingerprint(*f)
-                                               : nullptr;
-    const FunctionFingerprint fp =
-        known != nullptr ? *known : fingerprintFunction(*f);
+    const FunctionFingerprint fp = fingerprintFunction(*f);
     post.emplace(f.get(), fp);
     auto it = boundary_.find(f.get());
     if (it == boundary_.end()) {

@@ -4,10 +4,12 @@
 /// Cached dataflow-analysis framework. An AnalysisManager memoizes the
 /// per-function analyses (dominators, loop info, liveness, reaching
 /// definitions, def-use summary, integer value ranges) behind content-hash
-/// validation: every query rehashes the function (a single cheap FNV walk)
-/// and rebuilds only when the IR actually changed, so a pass pipeline that
-/// leaves a function untouched pays O(instrs) per query instead of a full
-/// analysis reconstruction.
+/// validation: every query compares the function's fingerprint with the one
+/// the cached analyses were built at and rebuilds only when the IR actually
+/// changed. The fingerprint itself is memoized on the function's body
+/// generation (Function::bodyGeneration), so a query on a function nothing
+/// has written since its last fingerprint costs O(1); only a modified
+/// function pays the O(instrs) walk.
 ///
 /// Passes declare which analyses they preserve (Pass::preserved); the
 /// pass-boundary protocol (recordBoundary/reconcileBoundary) statically
@@ -108,18 +110,31 @@ struct FunctionFingerprint {
 };
 
 /// Stable structural fingerprint of \p f (see FunctionFingerprint). When
-/// \p aux_key is non-null, the same walk also hashes what the fingerprint
-/// deliberately ignores but the fast verifier checks — per-value use-list
-/// lengths and result-name presence — so the verifier's skip key costs no
-/// second traversal.
+/// \p aux_key is non-null it receives what the fingerprint deliberately
+/// ignores but the fast verifier checks — per-value use-list lengths and
+/// result-name presence. Memoized on f's body generation: while nothing has
+/// written to \p f since the last walk, this returns that walk's hashes
+/// without walking again.
 FunctionFingerprint fingerprintFunction(const Function& f,
                                         std::uint64_t* aux_key = nullptr);
+/// The walk behind fingerprintFunction, bypassing the memo (tests compare
+/// the two to prove the generation bumps complete).
+FunctionFingerprint walkFingerprint(const Function& f, std::uint64_t& aux_key);
+
+/// fingerprintFunction work counters of the calling thread: walks taken and
+/// memo hits. Counts are exact, so tests and benchmarks gate on them.
+struct FingerprintCounts {
+  std::uint64_t walks = 0;
+  std::uint64_t memo_hits = 0;
+};
+const FingerprintCounts& fingerprintCounts();
+
 /// Fingerprint of module-level data: global variables and their
 /// initializers (function bodies are covered per function).
 std::uint64_t fingerprintModuleData(const Module& m);
 
-/// Cache counters. hits/misses count analysis queries; validations counts
-/// the hash walks spent confirming cached entries.
+/// Cache counters. hits/misses count analysis queries; invalidations counts
+/// entries whose analyses were dropped as stale.
 struct AnalysisCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -175,33 +190,13 @@ class AnalysisManager {
   const DefUseInfo& defUse(Function& f);
   const ValueRanges& valueRanges(Function& f);
 
-  /// Drops every cached analysis for \p f.
-  void invalidate(Function& f);
-  /// Drops all cached state (use when the underlying module is replaced,
-  /// e.g. after a sandbox rollback swaps in the snapshot clone).
-  void invalidateAll();
+  /// Validates \p f's entry exactly as a query does — analyses built at a
+  /// different fingerprint are dropped (two-level) — without building any.
+  /// The fast verifier validates every function it checks, so the cache
+  /// sees each pass boundary even for functions no pass queries.
+  void validate(Function& f);
 
   const AnalysisCacheStats& stats() const { return stats_; }
-
-  /// The fingerprint stored by the most recent query of \p f, or nullptr if
-  /// \p f was never queried. Current only while nothing has mutated \p f
-  /// since that query — callers that just issued a query (e.g. the fast
-  /// verifier) use it to avoid a second hash walk.
-  const FunctionFingerprint* validatedFingerprint(const Function& f) const;
-
-  /// Installs \p fp as \p f's validated fingerprint exactly as a query
-  /// would: a mismatch against the cached entry invalidates (two-level).
-  /// For callers like the fast verifier that compute fingerprints in their
-  /// own walk. \p fp must be \p f's actual current fingerprint.
-  void noteFingerprint(Function& f, const FunctionFingerprint& fp);
-
-  /// Freeze window: between beginFreeze and endFreeze the caller guarantees
-  /// nothing mutates the IR, so each function is hash-validated at most once
-  /// — later queries (and noteFingerprint stamps) are trusted without a
-  /// rehash. PassInstrumentation freezes for the span of its post-pass
-  /// checks, collapsing the verify/contract stages to one walk per function.
-  void beginFreeze() { ++freeze_epoch_; frozen_ = true; }
-  void endFreeze() { frozen_ = false; }
 
   // --- pass-boundary protocol (contract checker) ---
   /// Snapshots every function's fingerprint before a pass runs. When the
@@ -216,13 +211,9 @@ class AnalysisManager {
   /// Diffs the post-pass fingerprints against the recorded snapshot,
   /// invalidates what actually changed, and reports declared-preserved
   /// analyses the pass broke plus changed=false lies. \p reported_changed
-  /// is the pass's own run() return value. With \p trust_validated, reuses
-  /// each function's last-query fingerprint instead of rehashing — only
-  /// valid when every defined function was queried after the pass ran and
-  /// before this call (the fast-verify stage guarantees exactly that).
+  /// is the pass's own run() return value.
   BoundaryReport reconcileBoundary(Module& m, const PreservedAnalyses& declared,
-                                   bool reported_changed,
-                                   bool trust_validated = false);
+                                   bool reported_changed);
 
   /// The scope-installed ambient manager, or nullptr.
   static AnalysisManager* current();
@@ -244,21 +235,7 @@ class AnalysisManager {
   std::unordered_map<const Function*, FunctionFingerprint> boundary_;
   std::uint64_t boundary_data_hash_ = 0;
   bool boundary_recorded_ = false;
-  std::uint64_t freeze_epoch_ = 0;
-  bool frozen_ = false;
   AnalysisCacheStats stats_;
-};
-
-/// RAII freeze window (see AnalysisManager::beginFreeze).
-class AnalysisFreezeScope {
- public:
-  explicit AnalysisFreezeScope(AnalysisManager& m) : m_(m) { m.beginFreeze(); }
-  ~AnalysisFreezeScope() { m_.endFreeze(); }
-  AnalysisFreezeScope(const AnalysisFreezeScope&) = delete;
-  AnalysisFreezeScope& operator=(const AnalysisFreezeScope&) = delete;
-
- private:
-  AnalysisManager& m_;
 };
 
 /// RAII scope making \p m the thread-local ambient manager returned by

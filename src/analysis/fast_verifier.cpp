@@ -45,15 +45,14 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
     Function& f = *fptr;
     if (f.isDeclaration()) continue;
 
-    // One fused walk computes the structural fingerprint and the auxiliary
+    // The skip key is the structural fingerprint plus the auxiliary
     // use-count/name key (what the fingerprint deliberately ignores but the
     // verifier checks — use-list drift without an operand change is exactly
-    // a bookkeeping corruption). The result is donated to the manager, so
-    // neither the analysis queries below nor the contract reconcile after
-    // this verify walks the function again.
+    // a bookkeeping corruption). Both come from the fingerprint memo, so an
+    // untouched function costs O(1) here.
     std::uint64_t aux = 0;
     const FunctionFingerprint fp = fingerprintFunction(f, &aux);
-    am.noteFingerprint(f, fp);
+    am.validate(f);
     const std::uint64_t key = hashCombine(fp.instrs, aux);
     if (auto it = clean_.find(&f); it != clean_.end() && it->second.key == key) {
       ++functions_skipped_;

@@ -6,7 +6,9 @@
 /// verifier in ir/verifier.h:
 ///   - functions whose content hash matches the last clean verification are
 ///     skipped entirely (a pass touching one function re-verifies one
-///     function);
+///     function). The hash comes from fingerprintFunction's memo, so a
+///     function nothing has written since its last walk is skipped in O(1):
+///     no walk at all;
 ///   - a re-verified function is numbered densely (blocks, then
 ///     instructions, in layout order) through the shared Value scratch slot
 ///     (Value::nextStampGeneration), so block membership ("branch to block

@@ -23,6 +23,7 @@ Instruction* BasicBlock::pushBack(std::unique_ptr<Instruction> inst) {
   POSETRL_CHECK(raw->parent() == nullptr, "instruction already parented");
   raw->parent_ = this;
   insts_.push_back(std::move(inst));
+  raw->bumpFunctionGeneration();
   return raw;
 }
 
@@ -31,6 +32,7 @@ Instruction* BasicBlock::pushFront(std::unique_ptr<Instruction> inst) {
   POSETRL_CHECK(raw->parent() == nullptr, "instruction already parented");
   raw->parent_ = this;
   insts_.push_front(std::move(inst));
+  raw->bumpFunctionGeneration();
   return raw;
 }
 
@@ -43,6 +45,7 @@ Instruction* BasicBlock::insertBefore(Instruction* pos,
     if (it->get() == pos) {
       raw->parent_ = this;
       insts_.insert(it, std::move(inst));
+      raw->bumpFunctionGeneration();
       return raw;
     }
   }

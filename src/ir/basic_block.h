@@ -33,7 +33,6 @@ class BasicBlock : public Value {
   static void operator delete(void* p, std::size_t) noexcept;
 
   Function* parent() const { return parent_; }
-  void setParent(Function* f) { parent_ = f; }
 
   const InstList& insts() const { return insts_; }
   iterator begin() { return insts_.begin(); }

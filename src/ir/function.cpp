@@ -25,13 +25,16 @@ void Function::removeArg(std::size_t i) {
   args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
   for (std::size_t j = i; j < args_.size(); ++j) {
     args_[j]->setIndex(static_cast<unsigned>(j));
+    // Bodies hash an argument by its index; a use from another function's
+    // body is malformed but still hashed.
+    for (Instruction* user : args_[j]->users()) user->bumpFunctionGeneration();
   }
   // Rebuild the function type without the removed parameter.
   std::vector<Type*> params;
   params.reserve(args_.size());
   for (const auto& a : args_) params.push_back(a->type());
-  Type* new_type = parent_->types().funcType(returnType(), std::move(params));
-  mutateType(new_type);
+  setFunctionTypeUnchecked(
+      parent_->types().funcType(returnType(), std::move(params)));
 }
 
 BasicBlock* Function::addBlock(const std::string& name) {
@@ -39,6 +42,7 @@ BasicBlock* Function::addBlock(const std::string& name) {
   Type* label = parent_->types().voidTy();
   blocks_.push_back(
       std::make_unique<BasicBlock>(label, uniqueBlockName(name), this));
+  bumpBodyGeneration();
   return blocks_.back().get();
 }
 
@@ -51,6 +55,7 @@ BasicBlock* Function::addBlockAfter(BasicBlock* after,
   for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
     if (it->get() == after) {
       blocks_.insert(std::next(it), std::move(block));
+      bumpBodyGeneration();
       return raw;
     }
   }
@@ -69,6 +74,7 @@ void Function::eraseBlock(BasicBlock* bb) {
   for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
     if (it->get() == bb) {
       blocks_.erase(it);
+      bumpBodyGeneration();
       return;
     }
   }
@@ -81,6 +87,7 @@ void Function::makeEntry(BasicBlock* bb) {
       std::unique_ptr<BasicBlock> owned = std::move(*it);
       blocks_.erase(it);
       blocks_.push_front(std::move(owned));
+      bumpBodyGeneration();
       return;
     }
   }

@@ -83,7 +83,29 @@ class Function : public Value {
   /// Rewrites the function type in place. Callers (attributor's dead-return
   /// elimination, deadargelim) are responsible for fixing returns and call
   /// sites; \p new_type must keep the parameter list consistent with args().
-  void setFunctionTypeUnchecked(Type* new_type) { mutateType(new_type); }
+  void setFunctionTypeUnchecked(Type* new_type) {
+    mutateType(new_type);
+    bumpBodyGeneration();
+  }
+
+  /// Body generation. Every write to this function's body, or to a value
+  /// the body owns, bumps it: block list edits, instruction placement,
+  /// operands and attributes, the signature, use lists and name presence of
+  /// its arguments, blocks and instructions, and renames of the globals and
+  /// functions its body references. An unchanged generation therefore
+  /// means an unchanged fingerprintFunction result.
+  std::uint64_t bodyGeneration() const { return body_generation_; }
+  void bumpBodyGeneration() { ++body_generation_; }
+
+  /// fingerprintFunction's memo (analysis/analysis_manager.h): the hashes of
+  /// the last walk, valid while `generation` equals bodyGeneration(). Like
+  /// the Value scratch slot it is written during walks of a const function,
+  /// so the same rule applies: only the thread that owns the module walks it.
+  struct FingerprintMemo {
+    std::uint64_t generation = 0;  ///< 0: never walked.
+    std::uint64_t cfg = 0, instrs = 0, aux = 0;
+  };
+  FingerprintMemo& fingerprintMemo() const { return fingerprint_memo_; }
 
   // Blocks.
   const BlockList& blocks() const { return blocks_; }
@@ -141,6 +163,8 @@ class Function : public Value {
   BlockList blocks_;
   std::uint64_t next_value_ = 0;
   std::uint64_t next_block_ = 0;
+  std::uint64_t body_generation_ = 1;
+  mutable FingerprintMemo fingerprint_memo_;
 };
 
 }  // namespace posetrl

@@ -144,6 +144,7 @@ void Instruction::bindOperand(std::size_t i, Value* v) {
   POSETRL_CHECK(v != nullptr, "null operand");
   operands_[i] = v;
   v->addUser(this);
+  bumpFunctionGeneration();
 }
 
 Instruction* Instruction::clone() const {
@@ -158,24 +159,31 @@ Function* Instruction::function() const {
   return parent_ ? parent_->parent() : nullptr;
 }
 
+void Instruction::bumpFunctionGeneration() const {
+  if (Function* f = function()) f->bumpBodyGeneration();
+}
+
 void Instruction::setOperand(std::size_t i, Value* v) {
   POSETRL_CHECK(i < operands_.size(), "operand index out of range");
   POSETRL_CHECK(v != nullptr, "null operand");
   operands_[i]->removeUser(this);
   operands_[i] = v;
   v->addUser(this);
+  bumpFunctionGeneration();
 }
 
 void Instruction::appendOperand(Value* v) {
   POSETRL_CHECK(v != nullptr, "null operand");
   operands_.push_back(v);
   v->addUser(this);
+  bumpFunctionGeneration();
 }
 
 void Instruction::removeOperandAt(std::size_t i) {
   POSETRL_CHECK(i < operands_.size(), "operand index out of range");
   operands_[i]->removeUser(this);
   operands_.erase(operands_.begin() + static_cast<std::ptrdiff_t>(i));
+  bumpFunctionGeneration();
 }
 
 void Instruction::dropAllOperands() {
@@ -183,6 +191,7 @@ void Instruction::dropAllOperands() {
     if (v != nullptr) v->removeUser(this);
   }
   operands_.clear();
+  bumpFunctionGeneration();
 }
 
 std::unique_ptr<Instruction> Instruction::removeFromParent() {
@@ -192,6 +201,7 @@ std::unique_ptr<Instruction> Instruction::removeFromParent() {
     if (it->get() == this) {
       std::unique_ptr<Instruction> owned = std::move(*it);
       bb->insts_.erase(it);
+      bumpFunctionGeneration();
       parent_ = nullptr;
       return owned;
     }

@@ -3,7 +3,9 @@
 /// \file instruction.h
 /// MiniIR instruction hierarchy. Instructions are Values (their result is the
 /// SSA value) and hold their operand list; operand edits keep the global
-/// use-def bookkeeping consistent automatically.
+/// use-def bookkeeping consistent automatically. Every operand, attribute
+/// and placement edit bumps the owning function's body generation
+/// (Function::bodyGeneration).
 
 #include <cstdint>
 #include <initializer_list>
@@ -121,6 +123,8 @@ class Instruction : public Value {
   Opcode opcode() const { return opcode_; }
   BasicBlock* parent() const { return parent_; }
   Function* function() const;
+  /// Bumps function()'s body generation; no-op while detached.
+  void bumpFunctionGeneration() const;
 
   std::size_t numOperands() const { return operands_.size(); }
   Value* operand(std::size_t i) const {
@@ -181,7 +185,10 @@ class Instruction : public Value {
   /// Modeled vectorization factor (1 = scalar). Set by the loop-vectorize
   /// analog; consumed by the size and throughput models.
   unsigned vectorWidth() const { return vector_width_; }
-  void setVectorWidth(unsigned w) { vector_width_ = w; }
+  void setVectorWidth(unsigned w) {
+    vector_width_ = w;
+    bumpFunctionGeneration();
+  }
 
   static bool classof(const Value* v) {
     return v->kind() == Kind::Instruction;
@@ -240,7 +247,7 @@ class LoadInst : public Instruction {
 
   Value* pointer() const { return operand(0); }
   unsigned alignment() const { return align_; }
-  void setAlignment(unsigned a) { align_ = a; }
+  void setAlignment(unsigned a) { align_ = a; bumpFunctionGeneration(); }
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -259,7 +266,7 @@ class StoreInst : public Instruction {
   Value* value() const { return operand(0); }
   Value* pointer() const { return operand(1); }
   unsigned alignment() const { return align_; }
-  void setAlignment(unsigned a) { align_ = a; }
+  void setAlignment(unsigned a) { align_ = a; bumpFunctionGeneration(); }
 
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
@@ -473,7 +480,10 @@ class ICmpInst : public Instruction {
                     std::move(name), {lhs, rhs}) {}
 
   Pred pred() const { return static_cast<Pred>(pred_); }
-  void setPred(Pred p) { pred_ = static_cast<int>(p); }
+  void setPred(Pred p) {
+    pred_ = static_cast<int>(p);
+    bumpFunctionGeneration();
+  }
   Value* lhs() const { return operand(0); }
   Value* rhs() const { return operand(1); }
 

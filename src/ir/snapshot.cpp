@@ -284,7 +284,9 @@ ModuleSnapshot::RestoreResult ModuleSnapshot::restoreInto(Module& m) const {
 
   // 5. Blocks and instructions are new objects: invalidate pointer-holding
   // caches via the generation stamp, and revert the content stamp (the
-  // content is bit-for-bit the captured one again).
+  // content is bit-for-bit the captured one again). Every body was rebuilt
+  // in place, so every function's body generation moves too.
+  for (const auto& f : m.functions_) f->bumpBodyGeneration();
   m.bumpIrGeneration();
   m.restoreContentStamp(content_stamp_);
   return result;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "ir/basic_block.h"
+#include "ir/function.h"
 #include "ir/instruction.h"
 
 namespace posetrl {
@@ -15,6 +17,25 @@ namespace {
 std::atomic<std::uint64_t> g_stamp_thread_ranges{0};
 thread_local std::uint64_t g_stamp_generation =
     (g_stamp_thread_ranges.fetch_add(1, std::memory_order_relaxed) + 1) << 40;
+
+/// Bumps the body generation of the function that owns \p v: an argument's
+/// or block's parent, a placed instruction's function. Module-level values
+/// and detached instructions have no owner.
+void bumpOwner(const Value* v) {
+  switch (v->kind()) {
+    case Value::Kind::Argument:
+      static_cast<const Argument*>(v)->parent()->bumpBodyGeneration();
+      return;
+    case Value::Kind::BasicBlock:
+      static_cast<const BasicBlock*>(v)->parent()->bumpBodyGeneration();
+      return;
+    case Value::Kind::Instruction:
+      static_cast<const Instruction*>(v)->bumpFunctionGeneration();
+      return;
+    default:
+      return;
+  }
+}
 
 }  // namespace
 
@@ -31,10 +52,26 @@ void Value::replaceAllUsesWith(Value* replacement) {
   }
 }
 
+void Value::setName(std::string name) {
+  if (kind_ == Kind::Function || kind_ == Kind::GlobalVariable) {
+    // Bodies hash the names of the symbols they reference.
+    for (Instruction* user : users_) user->bumpFunctionGeneration();
+  } else if (name.empty() != name_.empty()) {
+    bumpOwner(this);  // name presence is part of the fast verifier's key
+  }
+  name_ = std::move(name);
+}
+
+void Value::addUser(Instruction* user) {
+  users_.push_back(user);
+  bumpOwner(this);
+}
+
 void Value::removeUser(Instruction* user) {
   auto it = std::find(users_.begin(), users_.end(), user);
   POSETRL_CHECK(it != users_.end(), "removing non-existent user");
   users_.erase(it);
+  bumpOwner(this);
 }
 
 std::uint64_t ConstantInt::zextValue() const {

@@ -12,6 +12,13 @@
 /// (Instruction::bindOperand, setOperand, or an appended phi/switch entry).
 /// Copy paths create instructions with unbound slots and bind destination
 /// values only, so copying a module never writes to the source's user lists.
+///
+/// Change tracking: every write that can change what fingerprintFunction
+/// hashes for a function bumps that function's body generation
+/// (Function::bodyGeneration). Here that means a use-list edit or a name
+/// gaining/losing presence on a value the function owns (argument, block,
+/// placed instruction), and the rename of a global or function, which bumps
+/// every function whose body references it.
 
 #include <cstdint>
 #include <string>
@@ -47,7 +54,7 @@ class Value {
   Type* type() const { return type_; }
 
   const std::string& name() const { return name_; }
-  void setName(std::string name) { name_ = std::move(name); }
+  void setName(std::string name);
 
   /// Instructions using this value, one entry per operand slot (so an
   /// instruction using the value twice appears twice).
@@ -96,7 +103,7 @@ class Value {
 
  private:
   friend class Instruction;
-  void addUser(Instruction* user) { users_.push_back(user); }
+  void addUser(Instruction* user);
   void removeUser(Instruction* user);
 
   Kind kind_;

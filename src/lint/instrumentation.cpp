@@ -54,10 +54,6 @@ void PassInstrumentation::runChecks(std::string_view pass_name, Module& m,
                                     const Pass* pass_obj,
                                     bool reported_changed) {
   ++step_;
-  // No pass runs for the duration of the checks, so each function needs at
-  // most one hash validation across all stages (the verifier's fused walk
-  // covers the analysis queries and the contract reconcile).
-  AnalysisFreezeScope freeze(manager());
   const std::string pass(pass_name);
   const auto fail = [&](const char* stage, std::string detail) {
     PassFailure f;
@@ -88,12 +84,8 @@ void PassInstrumentation::runChecks(std::string_view pass_name, Module& m,
 
   if (options_.contracts) {
     if (pass_obj != nullptr) {
-      // The fast-verify stage just hash-validated every defined function's
-      // cache entry, so the reconcile can trust those fingerprints instead
-      // of walking the module a second time.
-      const bool trust = options_.verify && options_.fast_verify;
       const BoundaryReport report = manager().reconcileBoundary(
-          m, pass_obj->preserved(), reported_changed, trust);
+          m, pass_obj->preserved(), reported_changed);
       for (const ContractViolation& v : report.violations)
         fail("contract", v.detail);
     } else {

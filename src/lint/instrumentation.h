@@ -52,8 +52,7 @@ struct InstrumentOptions {
   /// Keep an armed boundary snapshot across beginSequence instead of
   /// disarming it. Only safe when the caller guarantees the module is not
   /// mutated between instrumented sequences (the environment's step loop
-  /// does: between-action work is read-only and every module swap runs
-  /// invalidateAll, which disarms).
+  /// does: between-action work is read-only and every restore disarms).
   bool trust_armed_boundary = false;
   OracleOptions oracle_options;
 };

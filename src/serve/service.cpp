@@ -346,13 +346,13 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   SizeModel size_model(TargetInfo::forArch(env_cfg.arch));
 
   PhaseOrderEnv env(program, actions_, env_cfg);
-  Embedding state = env.reset();
   r.base_size_bytes = env.baseSize();
 
   // Ladder rung 3, stock -Oz, starts now beside the rollout, sandboxed
-  // within the full deadline, unless the memo has the input. The key hashes
-  // the worker's private copy: hashing the shared input would stamp it while
-  // other threads read it.
+  // within the full deadline, unless the memo has the input. It is posted
+  // before the initial embedding, which the rollout needs and the rung does
+  // not. The key hashes the worker's private copy: hashing the shared input
+  // would stamp it while other threads read it.
   const std::uint64_t key = env.programHash();
   SandboxConfig oz_sandbox = sandboxConfigFor(env_cfg);
   oz_sandbox.deadline = deadline;
@@ -363,6 +363,7 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
     probe = oz_memo_.lookup(key, program);
     if (probe.hit == nullptr) postRung(rung);
   }
+  Embedding state = env.reset();
 
   // Best-prefix-so-far tracking; the empty prefix (input as-is) is the
   // starting point, so a rollout that never improves degrades cleanly. An

@@ -9,17 +9,28 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analysis_manager.h"
 #include "analysis/block_frequency.h"
 #include "analysis/call_graph.h"
 #include "analysis/cfg.h"
+#include "analysis/def_use.h"
 #include "analysis/dominators.h"
+#include "analysis/fast_verifier.h"
 #include "analysis/loop_info.h"
+#include "core/environment.h"
+#include "core/oz_sequence.h"
+#include "faults/sandbox.h"
 #include "ir/basic_block.h"
+#include "ir/clone.h"
 #include "ir/function.h"
 #include "ir/ir_builder.h"
 #include "ir/module.h"
 #include "ir/parser.h"
+#include "ir/printer.h"
+#include "ir/snapshot.h"
+#include "ir/structural_hash.h"
 #include "ir/verifier.h"
+#include "pass_soup.h"
 #include "support/rng.h"
 #include "workloads/generator.h"
 
@@ -478,6 +489,286 @@ global @fp : ptr<fn() -> i64> = funcptr @target, internal
   ASSERT_NE(m, nullptr) << err;
   CallGraph cg(*m);
   EXPECT_TRUE(cg.addressTaken(m->getFunction("target")));
+}
+
+// --- Body generations and the fingerprint memo ---
+
+/// One function of each shape the entry points below edit: memory ops, a
+/// compare, a direct call, a switch, a phi, a global use and an unused
+/// argument. @h references nothing @f does.
+const char* kGenerationModule = R"(
+module "gen"
+global @g : i64 = int 5, internal
+define @callee : fn(i64) -> i64 internal {
+block e:
+  ret %arg0
+}
+define @f : fn(i64, i64, i64) -> i64 internal {
+block entry:
+  %p : ptr<i64> = alloca i64
+  store %arg0, %p
+  %v : i64 = load %p
+  %c : i1 = icmp slt %v, %arg1
+  %w : i64 = call @callee(%v)
+  %gv : i64 = load @g
+  condbr %c, label a, label b
+block a:
+  switch %v, default label join, [1 -> label b]
+block b:
+  br label join
+block join:
+  %phi : i64 = phi [ %v, a ], [ %w, b ]
+  %s : i64 = add %phi, %gv
+  ret %s
+}
+define @h : fn() -> i64 internal {
+block e:
+  ret i64 0
+}
+)";
+
+/// A freshly parsed kGenerationModule plus handles on @f's pieces. Members
+/// an entry point detaches live after the module, so they die first.
+struct GenCtx {
+  std::unique_ptr<Module> m;
+  Function* f = nullptr;
+  std::map<std::string, BasicBlock*> block;
+  std::map<std::string, Instruction*> inst;
+  Instruction* store = nullptr;
+  Instruction* ret = nullptr;
+  Instruction* pending = nullptr;  // placed with unbound slots (setup)
+  std::unique_ptr<Instruction> loose;
+  BasicBlock* spare = nullptr;
+  ModuleSnapshot snapshot;
+
+  Type* voidTy() { return m->types().voidTy(); }
+  std::unique_ptr<Instruction> unreachable() {
+    return Instruction::create(
+        {.opcode = Opcode::Unreachable, .type = voidTy()}, "", 0);
+  }
+};
+
+GenCtx makeGenCtx() {
+  GenCtx c;
+  std::string err;
+  c.m = parseModule(kGenerationModule, &err);
+  EXPECT_NE(c.m, nullptr) << err;
+  c.f = c.m->getFunction("f");
+  for (const auto& b : c.f->blocks()) {
+    c.block[b->name()] = b.get();
+    for (const auto& i : b->insts()) {
+      if (!i->name().empty()) c.inst[i->name()] = i.get();
+      if (i->opcode() == Opcode::Store) c.store = i.get();
+      if (i->opcode() == Opcode::Ret) c.ret = i.get();
+    }
+  }
+  return c;
+}
+
+struct GenerationCase {
+  const char* entry_point;
+  std::function<void(GenCtx&)> setup;  // may bump; runs before the baseline
+  std::function<void(GenCtx&)> mutate;
+};
+
+std::vector<GenerationCase> generationCases() {
+  const auto none = [](GenCtx&) {};
+  const auto phi = [](GenCtx& c) { return cast<PhiInst>(c.inst["phi"]); };
+  const auto sw = [](GenCtx& c) {
+    return cast<SwitchInst>(c.block["a"]->terminator());
+  };
+  return {
+      {"setOperand", none,
+       [](GenCtx& c) { c.inst["s"]->setOperand(1, c.m->i64Const(3)); }},
+      {"bindOperand",
+       [](GenCtx& c) {
+         c.pending = c.block["join"]->insertBefore(
+             c.ret, Instruction::create({.opcode = Opcode::Add,
+                                         .type = c.m->types().i64()},
+                                        "x", 2));
+       },
+       [](GenCtx& c) { c.pending->bindOperand(0, c.inst["v"]); }},
+      {"dropAllOperands", none,
+       [](GenCtx& c) { c.inst["s"]->dropAllOperands(); }},
+      {"removeOperandAt", none,
+       [](GenCtx& c) { cast<CallInst>(c.inst["w"])->removeArg(0); }},
+      {"setSuccessor", none,
+       [](GenCtx& c) {
+         c.block["b"]->terminator()->setSuccessor(0, c.block["a"]);
+       }},
+      {"addIncoming", none,
+       [phi](GenCtx& c) {
+         phi(c)->addIncoming(c.inst["v"], c.block["entry"]);
+       }},
+      {"removeIncoming", none,
+       [phi](GenCtx& c) { phi(c)->removeIncoming(c.block["b"]); }},
+      {"addCase", none,
+       [sw](GenCtx& c) { sw(c)->addCase(c.m->i64Const(2), c.block["b"]); }},
+      {"removeCase", none, [sw](GenCtx& c) { sw(c)->removeCase(0); }},
+      {"pushBack", none,
+       [](GenCtx& c) { c.block["b"]->pushBack(c.unreachable()); }},
+      {"pushFront", none,
+       [](GenCtx& c) { c.block["b"]->pushFront(c.unreachable()); }},
+      {"insertBefore", none,
+       [](GenCtx& c) {
+         c.block["join"]->insertBefore(c.ret, c.unreachable());
+       }},
+      {"removeFromParent",
+       [](GenCtx& c) { c.block["b"]->pushFront(c.unreachable()); },
+       [](GenCtx& c) { c.loose = c.block["b"]->front()->removeFromParent(); }},
+      {"eraseFromParent", none, [](GenCtx& c) { c.store->eraseFromParent(); }},
+      {"moveBefore", none,
+       [](GenCtx& c) { c.inst["gv"]->moveBefore(c.inst["p"]); }},
+      {"moveBeforeTerminator", none,
+       [](GenCtx& c) { c.inst["gv"]->moveBeforeTerminator(c.block["b"]); }},
+      {"splitAt", none,
+       [](GenCtx& c) { c.block["entry"]->splitAt(c.inst["c"], "tail"); }},
+      {"addBlock", none, [](GenCtx& c) { c.f->addBlock("fresh"); }},
+      {"addBlockAfter", none,
+       [](GenCtx& c) { c.f->addBlockAfter(c.block["entry"], "fresh"); }},
+      {"eraseBlock", [](GenCtx& c) { c.spare = c.f->addBlock("spare"); },
+       [](GenCtx& c) { c.f->eraseBlock(c.spare); }},
+      {"makeEntry", none, [](GenCtx& c) { c.f->makeEntry(c.block["join"]); }},
+      {"removeArg", none, [](GenCtx& c) { c.f->removeArg(2); }},
+      {"setFunctionTypeUnchecked", none,
+       [](GenCtx& c) { c.f->setFunctionTypeUnchecked(c.f->functionType()); }},
+      {"setPred", none,
+       [](GenCtx& c) {
+         cast<ICmpInst>(c.inst["c"])->setPred(ICmpInst::Pred::SGT);
+       }},
+      {"setAlignment (load)", none,
+       [](GenCtx& c) { cast<LoadInst>(c.inst["v"])->setAlignment(8); }},
+      {"setAlignment (store)", none,
+       [](GenCtx& c) { cast<StoreInst>(c.store)->setAlignment(8); }},
+      {"setVectorWidth", none,
+       [](GenCtx& c) { c.inst["s"]->setVectorWidth(4); }},
+      {"use list of an owned value (detached user)", none,
+       [](GenCtx& c) {
+         c.loose = Instruction::create(
+             {.opcode = Opcode::Phi, .type = c.m->types().i64()}, "", 1);
+         c.loose->bindOperand(0, c.f->arg(1));
+       }},
+      {"name present -> empty", none,
+       [](GenCtx& c) { c.inst["v"]->setName(""); }},
+      {"name empty -> present", none,
+       [](GenCtx& c) { c.store->setName("named"); }},
+      {"rename a referenced global", none,
+       [](GenCtx& c) { c.m->getGlobal("g")->setName("g2"); }},
+      {"rename a referenced function", none,
+       [](GenCtx& c) { c.m->getFunction("callee")->setName("callee2"); }},
+      {"ModuleSnapshot::restoreInto",
+       [](GenCtx& c) { c.snapshot.capture(*c.m); },
+       [](GenCtx& c) { c.snapshot.restoreInto(*c.m); }},
+  };
+}
+
+TEST(BodyGenerationTest, EveryMutationEntryPointBumpsItsFunction) {
+  for (const GenerationCase& gc : generationCases()) {
+    GenCtx c = makeGenCtx();
+    ASSERT_NE(c.f, nullptr);
+    gc.setup(c);
+    Function* h = c.m->getFunction("h");
+    const std::uint64_t before = c.f->bodyGeneration();
+    const std::uint64_t h_before = h->bodyGeneration();
+    gc.mutate(c);
+    EXPECT_GT(c.f->bodyGeneration(), before) << gc.entry_point;
+    if (std::string(gc.entry_point) != "ModuleSnapshot::restoreInto") {
+      EXPECT_EQ(h->bodyGeneration(), h_before)
+          << gc.entry_point << " bumped an unrelated function";
+    }
+  }
+}
+
+TEST(BodyGenerationTest, ReadOnlyWalksBumpNothing) {
+  GenCtx c = makeGenCtx();
+  std::map<const Function*, std::uint64_t> before;
+  for (const auto& f : c.m->functions()) before[f.get()] = f->bodyGeneration();
+  (void)printModule(*c.m);
+  (void)cloneModule(*c.m);
+  c.snapshot.capture(*c.m);
+  (void)moduleContentHash(*c.m);
+  (void)verifyModule(*c.m);
+  AnalysisManager am;
+  FastVerifier fv;
+  EXPECT_TRUE(fv.verify(*c.m, am).ok());
+  for (const auto& f : c.m->functions()) {
+    std::uint64_t aux = 0;
+    (void)walkFingerprint(*f, aux);
+    (void)fingerprintFunction(*f, &aux);
+    if (f->isDeclaration()) continue;
+    (void)am.loopInfo(*f);
+    (void)am.defUse(*f);
+  }
+  for (const auto& f : c.m->functions())
+    EXPECT_EQ(f->bodyGeneration(), before[f.get()]) << "@" << f->name();
+}
+
+TEST(FingerprintMemoTest, HitsUntilAWriteThenMatchesAFreshWalk) {
+  GenCtx c = makeGenCtx();
+  const FingerprintCounts start = fingerprintCounts();
+  std::uint64_t aux = 0;
+  const FunctionFingerprint first = fingerprintFunction(*c.f, &aux);
+  const FunctionFingerprint again = fingerprintFunction(*c.f);
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(fingerprintCounts().walks - start.walks, 1u);
+  EXPECT_EQ(fingerprintCounts().memo_hits - start.memo_hits, 1u);
+
+  cast<ICmpInst>(c.inst["c"])->setPred(ICmpInst::Pred::SGT);
+  std::uint64_t fresh_aux = 0;
+  const FunctionFingerprint after = fingerprintFunction(*c.f, &aux);
+  EXPECT_EQ(fingerprintCounts().walks - start.walks, 2u);
+  EXPECT_NE(after, first);
+  EXPECT_EQ(after, walkFingerprint(*c.f, fresh_aux));
+  EXPECT_EQ(aux, fresh_aux);
+}
+
+/// Pool-like programs as the compile service sees them: 2..15 kernels.
+ProgramSpec poolLikeSpec(std::size_t j) {
+  ProgramSpec spec;
+  spec.name = "pool" + std::to_string(j);
+  spec.seed = Rng::forStream(0x4e0e57, j).next();
+  spec.kernels = 2 + static_cast<int>(j % 14);
+  return spec;
+}
+
+TEST(FingerprintMemoTest, MemoMatchesFreshWalkAfterEveryOzPass) {
+  std::size_t compared = 0;
+  for (std::size_t j = 0; j < 64; ++j) {
+    auto m = generateProgram(poolLikeSpec(j));
+    for (const std::string& pass : ozPassNames()) {
+      warmFingerprintMemos(*m);
+      runPassSequence(*m, {pass});
+      compared += expectFingerprintMemosFresh(
+          *m, "program " + std::to_string(j) + " after -" + pass);
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+// Work-counter gate: the sandboxed -Oz rung (verifier and contract checker
+// at every pass boundary, analysis queries inside passes) walks a function
+// only after something wrote to it. Without the memo the rung walks about
+// 0.84 times per pass and defined function; with it, about 0.1.
+TEST(FingerprintMemoTest, SandboxedOzRungWalkBudget) {
+  const SandboxConfig sc = sandboxConfigFor(EnvConfig{});
+  for (int kernels = 2; kernels <= 15; ++kernels) {
+    ProgramSpec spec;
+    spec.seed = Rng::forStream(0x4e0e57, static_cast<std::uint64_t>(kernels))
+                    .next();
+    spec.kernels = kernels;
+    auto m = generateProgram(spec);
+    std::size_t defined = 0;
+    for (const auto& f : m->functions()) defined += !f->isDeclaration();
+    const FingerprintCounts before = fingerprintCounts();
+    const SandboxOutcome out = runActionSandboxed(m, ozPassNames(), sc);
+    ASSERT_TRUE(out.ok) << out.fault.str();
+    const std::uint64_t walks = fingerprintCounts().walks - before.walks;
+    const double budget =
+        0.3 * static_cast<double>(ozPassNames().size() * defined);
+    EXPECT_LE(static_cast<double>(walks), budget)
+        << kernels << " kernels, " << defined << " defined functions";
+    EXPECT_GT(fingerprintCounts().memo_hits - before.memo_hits, walks);
+  }
 }
 
 }  // namespace

@@ -83,20 +83,28 @@ TEST(FuzzTest, MutatedTextNeverCrashesParser) {
 
 TEST(FuzzTest, RandomPassSoupPreservesSemantics) {
   // 8 trials of 20 uniformly random passes each (not just the curated
-  // sub-sequences): semantics and verifier must hold.
+  // sub-sequences): semantics and verifier must hold, and after every pass
+  // each still-current fingerprint memo must match a fresh walk.
   const auto names = fuzzablePassNames();
   ProgramSpec spec;
   spec.seed = 888;
   spec.kernels = 3;
   Rng rng(202);
+  std::size_t memos_compared = 0;
   for (int trial = 0; trial < 8; ++trial) {
     auto m = generateProgram(spec);
     const ExecResult before = runModule(*m);
     ASSERT_TRUE(before.ok);
-    runPassSequence(*m, randomSoup(names, rng, 20), /*verify_each=*/true);
+    for (const std::string& pass : randomSoup(names, rng, 20)) {
+      warmFingerprintMemos(*m);
+      runPassSequence(*m, {pass}, /*verify_each=*/true);
+      memos_compared += expectFingerprintMemosFresh(
+          *m, "trial " + std::to_string(trial) + " after -" + pass);
+    }
     const ExecResult after = runModule(*m);
     EXPECT_EQ(before.fingerprint(), after.fingerprint()) << "trial " << trial;
   }
+  EXPECT_GT(memos_compared, 0u);
 }
 
 TEST(FuzzTest, ManySeedsSurviveOz) {
