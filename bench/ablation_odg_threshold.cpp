@@ -47,7 +47,7 @@ int main() {
   std::size_t checked = 0;
   for (const auto& walk : odg.subSequenceWalks(8)) {
     auto m = generateProgram(spec);
-    runPassSequence(*m, walk, /*verify_each=*/false);
+    runPassSequence(*m, walk);
     const auto vr = verifyModule(*m);
     if (!vr.ok()) {
       std::printf("!! walk broke the verifier: %s\n", vr.message().c_str());

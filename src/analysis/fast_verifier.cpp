@@ -181,7 +181,7 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
           for (std::size_t oi = 0; oi < inst->numOperands(); ++oi) {
             auto* def = dynCast<Instruction>(inst->operand(oi));
             if (def == nullptr) continue;
-            // Checked in unreachable blocks too, as the full verifier does.
+            // Checked in unreachable blocks too.
             if (def->parent() == nullptr || def->parent()->parent() != &f) {
               error(result, f, "operand from another function");
               continue;
@@ -197,8 +197,7 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
                       "phi incoming value does not dominate its edge");
             } else if (def->parent() == b.get()) {
               // Ids follow block order. A def that claims this block but
-              // is in no block's list has no id and counts as position 0,
-              // as the full verifier's order map does.
+              // is in no block's list has no id and counts as position 0.
               const bool after = def->fingerprintIdValid(gen)
                                      ? def->fingerprintId() >=
                                            inst->fingerprintId()
@@ -226,6 +225,12 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
       result.errors.push_back("use-list size mismatch for @" + fn->name());
 
   return result;
+}
+
+VerifyResult verifyModule(Module& module) {
+  AnalysisManager am;
+  FastVerifier verifier;
+  return verifier.verify(module, am);
 }
 
 }  // namespace posetrl

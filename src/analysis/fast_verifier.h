@@ -1,9 +1,12 @@
 #pragma once
 
 /// \file fast_verifier.h
-/// Per-pass structural IR verifier, cheap enough to default-on in the
-/// training sandbox and the compile service. Differences from the full
-/// verifier in ir/verifier.h:
+/// The structural IR verifier: the one implementation of the check set
+/// (block and instruction structure, phi edges, per-opcode types, use-list
+/// integrity, SSA dominance, global initializers). ir/verifier.h's
+/// verifyModule is a cold run of it; the training sandbox, the environment
+/// and the compile service keep one instance warm across passes. Cheap
+/// enough to default-on per pass:
 ///   - functions whose content hash matches the last clean verification are
 ///     skipped entirely (a pass touching one function re-verifies one
 ///     function). The hash comes from fingerprintFunction's memo, so a
@@ -16,16 +19,15 @@
 ///     member loads instead of per-pass hash sets and maps; phi incoming
 ///     blocks are matched by a linear scan; use-list messages are built
 ///     only on a mismatch;
-///   - SSA dominance uses the AnalysisManager's cached dominator tree
-///     instead of the O(n^2) set-based computation, and only runs when the
-///     structural checks (terminators, phi placement, parents, types,
-///     use lists) came back clean — the tree construction asserts on
-///     malformed CFGs. The dominator query may re-stamp the scratch slot,
-///     so the function is numbered again after it.
-/// The check set is the same: anything the full verifier flags, this
-/// flags too (and vice versa) — tests/fuzz_test.cpp's
-/// VerifierEquivalenceTest holds both to the same verdict on mutated text
-/// and on corrupted pass-soup outputs, with cold and warm skip caches.
+///   - SSA dominance uses the AnalysisManager's cached dominator tree, and
+///     only runs when the structural checks (terminators, phi placement,
+///     parents, types, use lists) came back clean — the tree construction
+///     asserts on malformed CFGs. The dominator query may re-stamp the
+///     scratch slot, so the function is numbered again after it.
+/// A warm instance must reach the verdict a cold one does:
+/// tests/fuzz_test.cpp's VerifierEquivalenceTest holds the two together on
+/// mutated text and on corrupted pass-soup outputs. The dominator tree
+/// itself is checked against a naive reference in tests/analysis_test.cpp.
 
 #include <cstddef>
 #include <unordered_map>

@@ -173,8 +173,7 @@ PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
     PassInstrumentation instr(iopts);
     runPassSequence(*working_, (*actions_)[index].passes, instr);
   } else {
-    runPassSequence(*working_, (*actions_)[index].passes,
-                    /*verify_each=*/false);
+    runPassSequence(*working_, (*actions_)[index].passes);
   }
 
   // Reward-model metrics, memoized on the content stamp: an action the

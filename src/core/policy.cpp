@@ -51,7 +51,7 @@ PolicyRollout applyPolicy(const DoubleDqn& agent, const Module& program,
 std::unique_ptr<Module> applyPipeline(
     const Module& program, const std::vector<std::string>& passes) {
   std::unique_ptr<Module> m = cloneModule(program);
-  runPassSequence(*m, passes, /*verify_each=*/false);
+  runPassSequence(*m, passes);
   return m;
 }
 

@@ -1,6 +1,8 @@
 #include "lint/lint.h"
 
 #include <functional>
+#include <set>
+#include <vector>
 
 #include "ir/basic_block.h"
 #include "ir/function.h"
@@ -8,7 +10,6 @@
 #include "ir/instruction.h"
 #include "ir/module.h"
 #include "ir/printer.h"
-#include "ir/verifier.h"
 
 namespace posetrl {
 
@@ -68,6 +69,25 @@ class UndefUseChecker : public LintChecker {
 // Blocks no path from the entry can reach are dead weight the size model
 // still pays for; a CFG transform that rewired edges without cleaning up
 // leaves them behind.
+
+/// Blocks reachable from \p f's entry, through the const view that
+/// analysis/cfg.h does not provide.
+std::set<const BasicBlock*> reachableBlockSet(const Function& f) {
+  std::set<const BasicBlock*> seen{f.entry()};
+  std::vector<const BasicBlock*> stack{f.entry()};
+  while (!stack.empty()) {
+    const BasicBlock* bb = stack.back();
+    stack.pop_back();
+    const Instruction* term = bb->terminator();
+    if (term == nullptr) continue;
+    for (std::size_t i = 0; i < term->numSuccessors(); ++i) {
+      const BasicBlock* s = term->successor(i);
+      if (seen.insert(s).second) stack.push_back(s);
+    }
+  }
+  return seen;
+}
+
 class UnreachableBlockChecker : public LintChecker {
  public:
   std::string_view name() const override { return "unreachable-block"; }

@@ -67,9 +67,7 @@ void PassInstrumentation::runChecks(std::string_view pass_name, Module& m,
   };
 
   if (options_.verify) {
-    const VerifyResult r = options_.fast_verify
-                               ? activeFastVerifier().verify(m, manager())
-                               : verifyModule(m);
+    const VerifyResult r = activeFastVerifier().verify(m, manager());
     if (!r.ok()) {
       fail("verify", r.message());
       // Structurally broken IR: linting it would double-report the damage

@@ -25,11 +25,9 @@ class Pass;
 
 /// Which checks run after each pass.
 struct InstrumentOptions {
-  bool verify = true;   ///< Structural verifier (ir/verifier.h).
-  /// Use the incremental fast verifier (analysis/fast_verifier.h) for the
-  /// verify stage instead of the full O(n^2) one. Same check coverage;
-  /// unchanged functions are skipped via content hashes.
-  bool fast_verify = true;
+  /// Structural verifier (analysis/fast_verifier.h), kept warm across the
+  /// sequence so functions a pass left unchanged are skipped.
+  bool verify = true;
   /// Diff each pass's declared preserved analyses (Pass::preserved) against
   /// the observed IR delta and fail the pass on a broken promise. Needs the
   /// beforePass/afterPass(Pass&,...) entry points; the name-only afterPass

@@ -5,7 +5,6 @@
 
 #include "ir/function.h"
 #include "ir/module.h"
-#include "ir/verifier.h"
 #include "lint/instrumentation.h"
 #include "passes/all_passes.h"
 #include "support/error.h"
@@ -142,8 +141,7 @@ std::vector<std::string> parsePassSequence(std::string_view sequence,
 }
 
 bool runPassSequence(Module& module,
-                     const std::vector<std::string>& pass_names,
-                     bool verify_each) {
+                     const std::vector<std::string>& pass_names) {
   ArenaScope arena_scope(module.arena());
   bool changed = false;
   // Conservative content-stamp bump: this path has no contract checker to
@@ -154,11 +152,6 @@ bool runPassSequence(Module& module,
     std::unique_ptr<Pass> pass = createPass(name);
     POSETRL_CHECK(pass != nullptr, "unknown pass: ", name);
     changed |= pass->run(module);
-    if (verify_each) {
-      const VerifyResult r = verifyModule(module);
-      POSETRL_CHECK(r.ok(), "IR broken after pass -", name, ":\n",
-                    r.message());
-    }
   }
   return changed;
 }

@@ -74,11 +74,10 @@ std::vector<std::string> parsePassSequence(std::string_view sequence,
                                            bool strict = true);
 
 /// Runs \p pass_names over \p module in order; returns true if any changed
-/// the IR. With \p verify_each, runs the IR verifier after every pass and
-/// aborts with the offending pass name on failure (used by tests).
+/// the IR. Checks nothing; use the instrumented overload below to verify
+/// after every pass.
 bool runPassSequence(Module& module,
-                     const std::vector<std::string>& pass_names,
-                     bool verify_each = false);
+                     const std::vector<std::string>& pass_names);
 
 /// Instrumented variant: \p instr.beginSequence runs before the first pass
 /// and \p instr.afterPass after every pass, so verifier/lint/oracle failures

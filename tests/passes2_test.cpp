@@ -15,6 +15,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "lint/instrumentation.h"
 #include "passes/pass.h"
 
 namespace posetrl {
@@ -32,7 +33,9 @@ std::unique_ptr<Module> parseOrDie(const std::string& text) {
 
 void runChecked(Module& m, const std::vector<std::string>& passes) {
   const ExecResult before = runModule(m);
-  runPassSequence(m, passes, /*verify_each=*/true);
+  PassInstrumentation instr;  // Default options: verify only.
+  runPassSequence(m, passes, instr);
+  ASSERT_TRUE(instr.clean()) << instr.toText();
   const ExecResult after = runModule(m);
   EXPECT_EQ(before.fingerprint(), after.fingerprint())
       << "before ret=" << before.return_value << " ok=" << before.ok

@@ -11,6 +11,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "lint/instrumentation.h"
 #include "passes/pass.h"
 
 namespace posetrl {
@@ -31,7 +32,9 @@ std::unique_ptr<Module> parseOrDie(const std::string& text) {
 /// observable behaviour did not change.
 void runChecked(Module& m, const std::vector<std::string>& passes) {
   const ExecResult before = runModule(m);
-  runPassSequence(m, passes, /*verify_each=*/true);
+  PassInstrumentation instr;  // Default options: verify only.
+  runPassSequence(m, passes, instr);
+  ASSERT_TRUE(instr.clean()) << instr.toText();
   const ExecResult after = runModule(m);
   EXPECT_EQ(before.fingerprint(), after.fingerprint())
       << "behaviour changed; passes:"

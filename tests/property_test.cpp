@@ -18,6 +18,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "lint/instrumentation.h"
 #include "passes/pass.h"
 #include "support/rng.h"
 #include "workloads/generator.h"
@@ -83,7 +84,7 @@ TEST(GeneratorProperty, OzOutputRoundTripsAfterCloneOrParse) {
     ASSERT_NE(copies.back(), nullptr);
     copies.push_back(cloneModule(*copies.back()));
     for (std::size_t i = 0; i < copies.size(); ++i) {
-      runPassSequence(*copies[i], ozPassNames(), /*verify_each=*/false);
+      runPassSequence(*copies[i], ozPassNames());
       const std::string printed = printModule(*copies[i]);
       std::string err;
       auto reparsed = parseModule(printed, &err);
@@ -119,7 +120,9 @@ TEST_P(SinglePassProperty, PreservesSemantics) {
   const ExecResult before = execute(*m);
   ASSERT_TRUE(before.ok) << before.trap;
 
-  runPassSequence(*m, {pass_name}, /*verify_each=*/true);
+  PassInstrumentation instr;  // Default options: verify only.
+  runPassSequence(*m, {pass_name}, instr);
+  ASSERT_TRUE(instr.clean()) << instr.toText();
 
   const ExecResult after = execute(*m);
   EXPECT_EQ(before.fingerprint(), after.fingerprint())
@@ -152,7 +155,9 @@ TEST_P(PipelineProperty, OzSequencePreservesSemantics) {
   auto m = generateProgram(specForSeed(static_cast<std::uint64_t>(seed)));
   const ExecResult before = execute(*m);
   ASSERT_TRUE(before.ok) << before.trap;
-  runPassSequence(*m, ozPassNames(), /*verify_each=*/true);
+  PassInstrumentation instr;  // Default options: verify only.
+  runPassSequence(*m, ozPassNames(), instr);
+  ASSERT_TRUE(instr.clean()) << instr.toText();
   const ExecResult after = execute(*m);
   EXPECT_EQ(before.fingerprint(), after.fingerprint())
       << "Oz pipeline broke seed " << seed << " trap=" << after.trap;
@@ -163,7 +168,7 @@ TEST_P(PipelineProperty, OzSequenceShrinksModeledObjectSize) {
   auto m = generateProgram(specForSeed(static_cast<std::uint64_t>(seed)));
   SizeModel sm(TargetInfo::x86_64());
   const double before = sm.objectBytes(*m);
-  runPassSequence(*m, ozPassNames(), /*verify_each=*/false);
+  runPassSequence(*m, ozPassNames());
   // Oz is a size pipeline: modeled object bytes must shrink on these
   // redundancy-rich programs. (Instruction count is the wrong metric here:
   // the vectorizer's unroll-and-mark representation multiplies instruction
@@ -187,7 +192,10 @@ TEST_P(PipelineProperty, RandomSubSequenceOrderings) {
       const auto& sub = manual[rng.nextBelow(manual.size())];
       for (const auto& p : sub.passes) passes.push_back(p);
     }
-    runPassSequence(*m, passes, /*verify_each=*/true);
+    PassInstrumentation instr;  // Default options: verify only.
+    runPassSequence(*m, passes, instr);
+    ASSERT_TRUE(instr.clean())
+        << "trial " << trial << ":\n" << instr.toText();
     const ExecResult after = execute(*m);
     EXPECT_EQ(before.fingerprint(), after.fingerprint())
         << "random ordering broke seed " << seed << " trial " << trial;
@@ -208,7 +216,10 @@ TEST_P(PipelineProperty, OdgSubSequenceOrderings) {
       const auto& sub = odg[rng.nextBelow(odg.size())];
       for (const auto& p : sub.passes) passes.push_back(p);
     }
-    runPassSequence(*m, passes, /*verify_each=*/true);
+    PassInstrumentation instr;  // Default options: verify only.
+    runPassSequence(*m, passes, instr);
+    ASSERT_TRUE(instr.clean())
+        << "trial " << trial << ":\n" << instr.toText();
     const ExecResult after = execute(*m);
     EXPECT_EQ(before.fingerprint(), after.fingerprint())
         << "ODG ordering broke seed " << seed << " trial " << trial;

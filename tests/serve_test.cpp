@@ -716,7 +716,7 @@ struct OzOnlyService {
 /// -Oz output of \p program as the rung computes it, and its modeled size.
 std::unique_ptr<Module> ozOf(const Module& program, double* size) {
   auto oz = cloneModule(program);
-  runPassSequence(*oz, ozPassNames(), /*verify_each=*/false);
+  runPassSequence(*oz, ozPassNames());
   *size = SizeModel(TargetInfo::forArch(TargetArch::X86_64)).objectBytes(*oz);
   return oz;
 }
