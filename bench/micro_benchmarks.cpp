@@ -400,6 +400,107 @@ void BM_MlpGradientPerSample(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpGradientPerSample);
 
+void BM_MlpAdamStep(benchmark::State& state) {
+  // Adam alone over the DQN's 113,920 parameters: three divides and a
+  // square root per parameter, all in the divider unit.
+  Rng rng(7);
+  Mlp net({300, 256, 128, 34}, rng);
+  const Matrix x = benchBatchStates(32, 300);
+  std::vector<std::size_t> actions(32);
+  std::vector<double> targets(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    actions[i] = i % 34;
+    targets[i] = 0.1 * static_cast<double>(i);
+  }
+  net.accumulateGradientBatch(x, actions, targets);
+  for (auto _ : state) net.adamStep(1e-4, 32);
+}
+BENCHMARK(BM_MlpAdamStep);
+
+void BM_DqnTrainOnBatch(benchmark::State& state) {
+  // One default-config learner update (batch 32, Monte-Carlo targets):
+  // batch assembly, the batched forward/backward GEMMs and Adam.
+  DqnConfig cfg;
+  DoubleDqn agent(cfg);
+  Rng rng(41);
+  std::vector<Transition> replay(1024);
+  for (Transition& t : replay) {
+    t.state.resize(cfg.state_dim);
+    for (double& v : t.state) v = rng.nextDouble(-1, 1);
+    t.action = rng.nextBelow(cfg.num_actions);
+    t.reward = rng.nextDouble(-1, 1);
+    t.next_state = t.state;
+    t.use_mc = true;
+    t.mc_return = rng.nextDouble(-2, 2);
+  }
+  std::vector<const Transition*> batch(cfg.batch_size);
+  for (auto _ : state) {
+    for (const Transition*& t : batch) {
+      t = &replay[rng.nextBelow(replay.size())];
+    }
+    benchmark::DoNotOptimize(agent.trainOnBatch(batch));
+  }
+}
+BENCHMARK(BM_DqnTrainOnBatch);
+
+/// A GEMM operand sparsified like the DQN update's: density_pct 100 is
+/// dense, 0 is one non-zero per row (the one-hot output-layer gradient),
+/// anything else keeps about that share of entries (ReLU activations and
+/// ReLU-masked gradients are about half zeros).
+Matrix gemmOperand(std::size_t rows, std::size_t cols, int density_pct,
+                   Rng& rng) {
+  Matrix x(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (density_pct == 0) {
+      x.at(i, rng.nextBelow(cols)) = rng.nextDouble(-1, 1);
+      continue;
+    }
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (static_cast<int>(rng.nextBelow(100)) < density_pct) {
+        x.at(i, j) = rng.nextDouble(-1, 1);
+      }
+    }
+  }
+  return x;
+}
+
+void BM_MlpLayerGemm(benchmark::State& state) {
+  // One of the learner's GEMMs at its real shape: C (m×n) += op(A)·op(B)
+  // over k, where shape 0 is the forward A·Bᵀ, 1 the weight gradient Aᵀ·B
+  // and 2 the input gradient A·B. GMAC/s counts the dense m·k·n MACs, so
+  // skipped zero terms show up as a higher rate.
+  const int shape = static_cast<int>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const auto n = static_cast<std::size_t>(state.range(3));
+  const int density = static_cast<int>(state.range(4));
+  Rng rng(5);
+  const bool ta = shape == 1;
+  const bool tb = shape == 0;
+  const Matrix a = ta ? gemmOperand(k, m, density, rng)
+                      : gemmOperand(m, k, density, rng);
+  const Matrix b = tb ? Matrix::randomInit(n, k, rng)
+                      : Matrix::randomInit(k, n, rng);
+  Matrix c = Matrix::zeros(m, n);
+  for (auto _ : state) {
+    c.addMatMul(a, ta, b, tb);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GMAC/s"] = benchmark::Counter(
+      static_cast<double>(m * k * n) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_MlpLayerGemm)
+    ->ArgNames({"shape", "m", "k", "n", "density"})
+    ->Args({0, 32, 300, 256, 100})  // forward layer 1
+    ->Args({0, 32, 256, 128, 50})   // forward layer 2
+    ->Args({0, 32, 128, 34, 50})    // forward layer 3
+    ->Args({1, 256, 32, 300, 50})   // dW1 += g1ᵀ·x
+    ->Args({1, 128, 32, 256, 50})   // dW2 += g2ᵀ·a1
+    ->Args({1, 34, 32, 128, 0})     // dW3 += g3ᵀ·a2, one-hot g3
+    ->Args({2, 32, 128, 256, 50})   // dX2 = g2·W2
+    ->Args({2, 32, 34, 128, 0});    // dX3 = g3·W3, one-hot g3
+
 }  // namespace
 
 BENCHMARK_MAIN();

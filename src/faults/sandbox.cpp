@@ -127,8 +127,9 @@ SandboxOutcome runActionSandboxed(std::unique_ptr<Module>& module,
     try {
       FuelScope fuel(config.pass_fuel);
       DeadlineScope deadline(config.deadline);
-      std::unique_ptr<ScopedFaultTrap> trap;
-      if (config.trap_check_failures) trap = std::make_unique<ScopedFaultTrap>();
+      // POSETRL_CHECK failures inside the pass become contained faults
+      // instead of aborting the process.
+      ScopedFaultTrap trap;
       try {
         pass_changed = pass->run(*module);
         outcome.changed |= pass_changed;

@@ -57,9 +57,6 @@ struct SandboxConfig {
   std::uint64_t pass_fuel = 2'000'000;
   /// Interpreter fuel per oracle execution.
   std::uint64_t oracle_fuel = 200'000;
-  /// Convert POSETRL_CHECK failures inside a pass into contained faults
-  /// (ScopedFaultTrap) instead of aborting the process.
-  bool trap_check_failures = true;
   /// Wall-clock deadline for the whole action. Checked at every pass
   /// boundary and (via the fuel hooks, see support/deadline.h) inside
   /// long-running passes; expiry rolls back to the snapshot with a

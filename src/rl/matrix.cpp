@@ -72,11 +72,6 @@ Matrix Matrix::randomInit(std::size_t rows, std::size_t cols, Rng& rng) {
 
 namespace {
 
-// Tile sizes for the blocked kernels: one C-row tile plus the streamed
-// A/B panels stay L1/L2-resident at the network sizes the agent uses.
-constexpr std::size_t kBlockK = 64;
-constexpr std::size_t kBlockJ = 256;
-
 /// sum_k x[k]*y[k] in the canonical 16-lane interleaved order (see
 /// matrix_simd.h): lane l sums the terms with k ≡ l (mod 16) in ascending
 /// k, the tail lands on lanes 0..tail-1, lanes combine pairwise as
@@ -98,19 +93,6 @@ double dotInterleavedScalar(const double* x, const double* y,
   return (t[0] + t[2]) + (t[1] + t[3]);
 }
 
-/// y[j] += a * x[j]: one mul and one add per element in either path, so
-/// vectorizing is trivially order-preserving.
-void axpyScalar(double* y, const double* x, double a, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
-}
-
-/// Two ascending-k terms per pass over y (see simd::axpy2Avx2): same
-/// per-cell rounding sequence as two axpy calls, half the C-row traffic.
-void axpy2Scalar(double* y, const double* x0, double a0, const double* x1,
-                 double a1, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) y[j] = (y[j] + a0 * x0[j]) + a1 * x1[j];
-}
-
 inline double dotCanonical(const double* x, const double* y, std::size_t k,
                            bool use_avx2) {
 #if defined(__x86_64__) || defined(_M_X64)
@@ -121,25 +103,43 @@ inline double dotCanonical(const double* x, const double* y, std::size_t k,
   return dotInterleavedScalar(x, y, k);
 }
 
-inline void axpyCanonical(double* y, const double* x, double a,
-                          std::size_t n, bool use_avx2) {
+/// C[i][j] += dot(A row i, B row j), one canonical dot per cell; the AVX2
+/// twin register-tiles the cells without touching any cell's order.
+void dotTile(double* c, std::size_t ldc, const double* a, std::size_t lda,
+             std::size_t m, const double* b, std::size_t ldb, std::size_t n,
+             std::size_t k, bool use_avx2) {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2) return simd::axpyAvx2(y, x, a, n);
+  if (use_avx2) return simd::dotTileAvx2(c, ldc, a, lda, m, b, ldb, n, k);
 #else
   (void)use_avx2;
 #endif
-  axpyScalar(y, x, a, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      c[i * ldc + j] += dotInterleavedScalar(a + i * lda, b + j * ldb, k);
+    }
+  }
 }
 
-inline void axpy2Canonical(double* y, const double* x0, double a0,
-                           const double* x1, double a1, std::size_t n,
-                           bool use_avx2) {
+/// Ordered rank-k update (contract in simd::RankUpdate): every cell of
+/// row i adds row i's terms one rounded mul+add at a time, in term order.
+void rankK(const simd::RankUpdate& u, bool use_avx2) {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2) return simd::axpy2Avx2(y, x0, a0, x1, a1, n);
+  if (use_avx2) {
+    thread_local std::vector<double> panel;
+    if (panel.size() < u.k * 32) panel.resize(u.k * 32);
+    return simd::rankKAvx2(u, panel.data());
+  }
 #else
   (void)use_avx2;
 #endif
-  axpy2Scalar(y, x0, a0, x1, a1, n);
+  for (std::size_t i = 0; i < u.m; ++i) {
+    double* crow = u.c + i * u.ldc;
+    for (std::size_t t = u.start[i]; t < u.start[i + 1]; ++t) {
+      const double a = u.terms[t].coef;
+      const double* brow = u.b + u.terms[t].row * u.ldb;
+      for (std::size_t j = 0; j < u.n; ++j) crow[j] += a * brow[j];
+    }
+  }
 }
 
 }  // namespace
@@ -170,58 +170,40 @@ void Matrix::addMatMul(const Matrix& a, bool transpose_a, const Matrix& b,
   POSETRL_CHECK(rows_ == m && cols_ == n,
                 "addMatMul output shape mismatch: ", rows_, "x", cols_,
                 " vs ", m, "x", n);
-  const double* pa = a.data();
-  const double* pb = b.data();
-  const std::size_t lda = a.cols();
-  const std::size_t ldb = b.cols();
   const bool use_avx2 = simd::avx2Active();
-  if (!transpose_a && transpose_b) {
-    // C[i][j] += sum_k A[i][k] * B[j][k] — rows dotted with rows; block
-    // over j so a panel of B rows is reused across every row of A. Each
-    // dot reduces in the canonical interleaved order, matching matVec.
-    for (std::size_t j0 = 0; j0 < n; j0 += kBlockJ) {
-      const std::size_t j1 = std::min(n, j0 + kBlockJ);
-      for (std::size_t i = 0; i < m; ++i) {
-        const double* arow = pa + i * lda;
-        double* crow = data_.data() + i * cols_;
-        for (std::size_t j = j0; j < j1; ++j) {
-          crow[j] += dotCanonical(arow, pb + j * ldb, k, use_avx2);
-        }
-      }
-    }
-  } else if (!transpose_a && !transpose_b) {
-    // C[i][j] += sum_k A[i][k] * B[k][j] — ikj order streams B and C rows;
-    // k-blocks run in ascending order and k-steps are paired, so each cell
-    // still accumulates its terms one individually rounded mul+add at a
-    // time in ascending k, while each C-row pass covers two B rows.
-    for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const std::size_t k1 = std::min(k, k0 + kBlockK);
-      for (std::size_t i = 0; i < m; ++i) {
-        const double* arow = pa + i * lda;
-        double* crow = data_.data() + i * cols_;
-        std::size_t kk = k0;
-        for (; kk + 1 < k1; kk += 2) {
-          axpy2Canonical(crow, pb + kk * ldb, arow[kk],
-                         pb + (kk + 1) * ldb, arow[kk + 1], n, use_avx2);
-        }
-        if (kk < k1) {
-          axpyCanonical(crow, pb + kk * ldb, arow[kk], n, use_avx2);
-        }
-      }
-    }
-  } else {
-    // C[i][j] += sum_k A[k][i] * B[k][j] — a sequence of rank-1 updates in
-    // ascending k (the per-sample gradient-accumulation order).
+  if (transpose_b) {
+    // C[i][j] += sum_k A[i][k] * B[j][k]: one canonical dot per cell,
+    // matching matVec; no term is skipped.
+    dotTile(data_.data(), cols_, a.data(), a.cols(), m, b.data(), b.cols(),
+            n, k, use_avx2);
+    return;
+  }
+  // C[i][j] += sum_k op(A)[i][k] * B[k][j]: an ordered rank-k update.
+  // Each output row's non-zero coefficients are compacted once, in
+  // ascending k — the per-sample gradient loops' order and zero-skip. The
+  // write is unconditional and the cursor advances only past a non-zero,
+  // so ReLU-random zeros cost no branch mispredictions. The term lists
+  // live in per-thread scratch that only grows: a fresh allocation of this
+  // size would be zeroed and page-faulted on every update.
+  const double* pa = a.data();
+  const std::size_t lda = a.cols();
+  thread_local std::vector<simd::RankTerm> terms;
+  thread_local std::vector<std::size_t> start;
+  if (terms.size() < m * k + 1) terms.resize(m * k + 1);
+  if (start.size() < m + 1) start.resize(m + 1);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    start[i] = count;
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const double* arow = pa + kk * lda;
-      const double* brow = pb + kk * ldb;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double av = arow[i];
-        if (av == 0.0) continue;  // sparse output-layer grads
-        axpyCanonical(data_.data() + i * cols_, brow, av, n, use_avx2);
-      }
+      const double av = transpose_a ? pa[kk * lda + i] : pa[i * lda + kk];
+      terms[count] = {av, kk};
+      count += av != 0.0 ? 1 : 0;
     }
   }
+  start[m] = count;
+  rankK({data_.data(), cols_, m, n, b.data(), b.cols(), k, terms.data(),
+         start.data()},
+        use_avx2);
 }
 
 Matrix Matrix::matMul(const Matrix& a, bool transpose_a, const Matrix& b,

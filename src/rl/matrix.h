@@ -2,8 +2,8 @@
 
 /// \file matrix.h
 /// Minimal dense row-major matrix used by the neural-network layers. The
-/// paper's agent is a small MLP, so a blocked implementation with no BLAS
-/// dependency is sufficient; the hot kernels dispatch to AVX2 at runtime
+/// paper's agent is a small MLP, so register-blocked kernels with no BLAS
+/// dependency are sufficient; they dispatch to AVX2 at runtime
 /// (rl/matrix_simd.h) with a scalar twin that reduces in the exact same
 /// order, keeping training traces bit-identical across machines.
 
@@ -50,15 +50,19 @@ class Matrix {
   std::vector<double> matVec(const std::vector<double>& v,
                              const std::vector<double>* bias) const;
 
-  /// C = op(A) * op(B), where op(X) is X or X^T. Cache-blocked GEMM with
-  /// runtime-dispatched SIMD kernels (rl/matrix_simd.h); the batched MLP
-  /// paths use it so a minibatch costs one GEMM per layer instead of
-  /// batch_size matVec calls. Each output cell reduces its inner-product
-  /// terms in the same canonical order matVec uses (16-lane interleaved
-  /// dots for the A*B^T shape, one mul+add per ascending-k term for the
-  /// others), so the result is bit-identical to the equivalent sequence of
-  /// matVec calls under either dispatch path (the single-actor trainer's
-  /// checkpoint bytes depend on this).
+  /// C = op(A) * op(B), where op(X) is X or X^T; the batched MLP paths use
+  /// it so a minibatch costs one GEMM per layer instead of batch_size
+  /// matVec calls. The result is bit-identical under either dispatch path
+  /// (rl/matrix_simd.h), because each shape keeps one canonical order per
+  /// output cell:
+  ///  - A * B^T (the forward pass) reduces every cell as matVec does: the
+  ///    16-lane interleaved dot, every term added, zeros included, so a
+  ///    batched forward row equals a matVec row bit for bit.
+  ///  - A * B and A^T * B (the input and weight gradients) add the terms of
+  ///    each cell one rounded mul+add at a time in ascending k, skipping
+  ///    every zero coefficient of op(A) — exactly the loops of
+  ///    Mlp::accumulateGradient, so a batched update equals the per-sample
+  ///    one (the single-actor trainer's checkpoint bytes depend on this).
   /// transpose_a and transpose_b must not both be set.
   static Matrix matMul(const Matrix& a, bool transpose_a, const Matrix& b,
                        bool transpose_b);

@@ -537,6 +537,84 @@ TEST(MlpTest, AccumulateGradientBatchBitIdenticalToPerSample) {
   EXPECT_EQ(a.forward(probe), b.forward(probe));
 }
 
+/// The dispatch modes this machine can run: scalar always, AVX2 if present.
+std::vector<simd::SimdMode> availableSimdModes() {
+  std::vector<simd::SimdMode> modes = {simd::SimdMode::Scalar};
+  simd::setSimdMode(simd::SimdMode::Auto);
+  if (simd::avx2Active()) modes.push_back(simd::SimdMode::Avx2);
+  return modes;
+}
+
+/// A batch of 32 DQN-width states: mostly dense, with exact zeros mixed in
+/// and one all-zero row.
+Matrix dqnStates(Rng& rng) {
+  Matrix x(32, 300);
+  for (std::size_t i = 1; i < 32; ++i) {
+    for (std::size_t j = 0; j < 300; ++j) {
+      x.at(i, j) = rng.nextBelow(5) == 0 ? 0.0 : rng.nextDouble(-1.0, 1.0);
+    }
+  }
+  return x;
+}
+
+TEST(MlpTest, ForwardBatchBitIdenticalToForwardAtDqnShape) {
+  for (const simd::SimdMode mode : availableSimdModes()) {
+    simd::setSimdMode(mode);
+    Rng rng(29);
+    const Mlp net({300, 256, 128, 34}, rng);
+    const Matrix x = dqnStates(rng);
+    const Matrix batch = net.forwardBatch(x);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      const std::vector<double> row(x.data() + i * 300,
+                                    x.data() + (i + 1) * 300);
+      const std::vector<double> single = net.forward(row);
+      EXPECT_EQ(0, std::memcmp(single.data(), batch.data() + i * 34,
+                               34 * sizeof(double)))
+          << "row " << i;
+    }
+  }
+  simd::setSimdMode(simd::SimdMode::Auto);
+}
+
+TEST(MlpTest, BatchUpdateBitIdenticalToPerSampleAtDqnShape) {
+  // The learner's real update — batch 32 through 300→256→128→34 with
+  // ReLU-sparse hidden gradients and one-hot output gradients — against
+  // the per-sample reference, over several Adam steps, compared as the
+  // full optimizer state (weights, biases and both moments).
+  for (const simd::SimdMode mode : availableSimdModes()) {
+    simd::setSimdMode(mode);
+    Rng init_a(31);
+    Rng init_b(31);
+    Mlp a({300, 256, 128, 34}, init_a);
+    Mlp b({300, 256, 128, 34}, init_b);
+    Rng data(37);
+    for (int step = 0; step < 3; ++step) {
+      const Matrix x = dqnStates(data);
+      std::vector<std::size_t> actions(32);
+      std::vector<double> targets(32);
+      for (std::size_t i = 0; i < 32; ++i) {
+        actions[i] = data.nextBelow(34);
+        targets[i] = data.nextDouble(-3.0, 3.0);
+      }
+      const double loss_a = a.accumulateGradientBatch(x, actions, targets);
+      double loss_b = 0.0;
+      for (std::size_t i = 0; i < 32; ++i) {
+        const std::vector<double> row(x.data() + i * 300,
+                                      x.data() + (i + 1) * 300);
+        loss_b += b.accumulateGradient(row, actions[i], targets[i]);
+      }
+      EXPECT_EQ(loss_a, loss_b);
+      a.adamStep(1e-4, 32);
+      b.adamStep(1e-4, 32);
+    }
+    std::ostringstream sa, sb;
+    a.saveState(sa);
+    b.saveState(sb);
+    EXPECT_TRUE(sa.str() == sb.str()) << "optimizer state differs";
+  }
+  simd::setSimdMode(simd::SimdMode::Auto);
+}
+
 TEST(MlpTest, LearnsSimpleRegression) {
   // Regress head 0 toward 2*x0 + 1 on a few fixed points.
   Rng rng(3);

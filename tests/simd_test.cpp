@@ -1,16 +1,23 @@
 // Bit-identity tests for the runtime-dispatched SIMD GEMM kernels
 // (rl/matrix_simd.h): forced-scalar and forced-AVX2 runs must produce
 // byte-identical results for every op(A)*op(B) shape, including dimensions
-// that are not multiples of the vector width, accumulation onto non-zero
-// C, the TN path's sparse-row skipping, and the matVec twin; a whole
-// training run, which also dispatches in the embedder, must not diverge
-// either. The trainer's run-twice/checkpoint byte-identity across
-// heterogeneous machines depends on these kernels never diverging.
+// that are not multiples of the vector width or the rank-k strip, the
+// DQN's own layer shapes with ReLU-sparse and one-hot operands,
+// accumulation onto non-zero C, the rank-k paths' zero skipping, and the
+// matVec twin; a whole training run, which also dispatches in the
+// embedder, must not diverge either, and must reproduce a pinned digest so
+// a change that moves both paths alike is caught too. The trainer's
+// run-twice/checkpoint byte-identity across heterogeneous machines depends
+// on these kernels never diverging.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +28,7 @@
 #include "rl/matrix.h"
 #include "rl/matrix_simd.h"
 #include "rl/mlp.h"
+#include "support/hashing.h"
 #include "support/rng.h"
 #include "workloads/generator.h"
 #include "workloads/suites.h"
@@ -170,6 +178,172 @@ TEST_F(SimdTest, TnSkipsZeroRowsIdenticallyInBothPaths) {
   }
 }
 
+// --- the learner's kernels at the DQN's real shapes --------------------------
+
+/// An operand sparsified the way one DQN update's are.
+enum class Fill {
+  Dense,       ///< Gaussian everywhere (inputs, weights).
+  ReluSparse,  ///< About half exact zeros (ReLU activations and gradients).
+  OneHot,      ///< One clamped non-zero per row (the output-layer gradient).
+  ZeroRows,    ///< ReluSparse with every third row all zero.
+};
+
+Matrix operand(std::size_t rows, std::size_t cols, Fill fill, Rng& rng) {
+  Matrix x(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (fill == Fill::OneHot) {
+      x.at(i, rng.nextBelow(cols)) = rng.nextDouble(-1.0, 1.0);
+      continue;
+    }
+    if (fill == Fill::ZeroRows && i % 3 == 0) continue;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double v = rng.nextGaussian();
+      x.at(i, j) = fill == Fill::Dense ? v : std::max(0.0, v);
+    }
+  }
+  return x;
+}
+
+/// The canonical 16-lane dot of matrix_simd.h, written out independently of
+/// the library's twins.
+double referenceDot(const double* x, const double* y, std::size_t k) {
+  const std::size_t k16 = k & ~static_cast<std::size_t>(15);
+  double lanes[16] = {0.0};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    lanes[kk < k16 ? kk % 16 : kk - k16] += x[kk] * y[kk];
+  }
+  double t[4];
+  for (int j = 0; j < 4; ++j) {
+    t[j] = (lanes[j] + lanes[j + 4]) + (lanes[j + 8] + lanes[j + 12]);
+  }
+  return (t[0] + t[2]) + (t[1] + t[3]);
+}
+
+/// Byte equality: EXPECT_EQ on doubles would call -0.0 == +0.0 equal.
+bool sameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+struct GemmCase {
+  std::size_t m, k, n;
+  Fill a_fill;  // the coefficient operand (A, or Aᵀ for the TN shape)
+};
+
+// Forward A·Bᵀ: the three DQN layers at batch 32 (A dense or
+// ReLU-sparse activations, all-zero rows included), then K < 16, K mod 16
+// in {1, 2, 12} and panel/tile remainders in n.
+const GemmCase kForwardCases[] = {
+    {32, 300, 256, Fill::Dense},     {32, 256, 128, Fill::ReluSparse},
+    {32, 128, 34, Fill::ZeroRows},   {32, 5, 13, Fill::ReluSparse},
+    {7, 13, 14, Fill::Dense},        {9, 17, 25, Fill::ZeroRows},
+    {3, 34, 37, Fill::ReluSparse},   {1, 300, 1, Fill::Dense},
+};
+
+// Rank-k shapes, as C (m×n) over k terms. Weight gradients Gᵀ·X: output
+// rows are the layer's units, k is the batch. Input gradients G·W: output
+// rows are the batch, k is the layer's units. Column counts are not all
+// multiples of the 32-wide strip or the 4-wide vector.
+const std::vector<GemmCase> kWeightGradCases = {
+    {256, 32, 300, Fill::ReluSparse}, {128, 32, 256, Fill::ZeroRows},
+    {34, 32, 128, Fill::OneHot},      {13, 5, 37, Fill::ReluSparse},
+    {9, 3, 63, Fill::OneHot},         {4, 17, 2, Fill::Dense},
+};
+const std::vector<GemmCase> kInputGradCases = {
+    {32, 128, 256, Fill::ReluSparse}, {32, 34, 128, Fill::OneHot},
+    {32, 256, 300, Fill::ZeroRows},   {5, 7, 33, Fill::ReluSparse},
+    {6, 40, 3, Fill::Dense},          {2, 1, 36, Fill::OneHot},
+};
+
+TEST_F(SimdTest, LearnerKernelsMatchReferenceAtDqnShapes) {
+  // Every product is checked bit for bit against a per-cell reference in
+  // its canonical order, under each dispatch mode this machine has, both
+  // onto a zero C (matMul) and onto a non-zero C (gradient accumulation).
+  std::vector<simd::SimdMode> modes = {simd::SimdMode::Scalar};
+  if (haveAvx2()) modes.push_back(simd::SimdMode::Avx2);
+  Rng rng(2718);
+  for (const simd::SimdMode mode : modes) {
+    simd::setSimdMode(mode);
+    const std::string tag =
+        mode == simd::SimdMode::Scalar ? "scalar" : "avx2";
+    for (const GemmCase& g : kForwardCases) {
+      const Matrix a = operand(g.m, g.k, g.a_fill, rng);
+      const Matrix b = operand(g.n, g.k, Fill::Dense, rng);
+      for (const bool onto_zero : {true, false}) {
+        const Matrix c0 = onto_zero ? Matrix::zeros(g.m, g.n)
+                                    : operand(g.m, g.n, Fill::Dense, rng);
+        Matrix ref = c0;
+        for (std::size_t i = 0; i < g.m; ++i) {
+          for (std::size_t j = 0; j < g.n; ++j) {
+            ref.at(i, j) += referenceDot(a.data() + i * g.k,
+                                         b.data() + j * g.k, g.k);
+          }
+        }
+        Matrix c = c0;
+        c.addMatMul(a, false, b, true);
+        EXPECT_TRUE(sameBits(c, ref)) << tag << " A·Bᵀ " << g.m << "x" << g.k
+                                      << "x" << g.n << " zero_c=" << onto_zero;
+      }
+    }
+    for (const bool transpose_a : {true, false}) {
+      for (const GemmCase& g :
+           transpose_a ? kWeightGradCases : kInputGradCases) {
+        const Matrix a = transpose_a ? operand(g.k, g.m, g.a_fill, rng)
+                                     : operand(g.m, g.k, g.a_fill, rng);
+        const Matrix b = operand(g.k, g.n, Fill::ReluSparse, rng);
+        for (const bool onto_zero : {true, false}) {
+          const Matrix c0 = onto_zero ? Matrix::zeros(g.m, g.n)
+                                      : operand(g.m, g.n, Fill::Dense, rng);
+          // Mlp::accumulateGradient's loops: ascending k, one rounded
+          // mul+add per term, zero coefficients skipped.
+          Matrix ref = c0;
+          for (std::size_t i = 0; i < g.m; ++i) {
+            for (std::size_t kk = 0; kk < g.k; ++kk) {
+              const double av = transpose_a ? a.at(kk, i) : a.at(i, kk);
+              if (av == 0.0) continue;
+              for (std::size_t j = 0; j < g.n; ++j) {
+                ref.at(i, j) += av * b.at(kk, j);
+              }
+            }
+          }
+          Matrix c = c0;
+          c.addMatMul(a, transpose_a, b, false);
+          EXPECT_TRUE(sameBits(c, ref))
+              << tag << (transpose_a ? " Aᵀ·B " : " A·B ") << g.m << "x"
+              << g.k << "x" << g.n << " zero_c=" << onto_zero;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, RankKSkipsZeroCoefficientsButForwardDoesNot) {
+  // Where B holds a non-finite value, a skipped 0·inf differs from an
+  // added one (NaN). The rank-k shapes skip exactly as the per-sample
+  // gradient loops do; the forward shape adds every term, as matVec does.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<simd::SimdMode> modes = {simd::SimdMode::Scalar};
+  if (haveAvx2()) modes.push_back(simd::SimdMode::Avx2);
+  for (const simd::SimdMode mode : modes) {
+    simd::setSimdMode(mode);
+    Matrix a(2, 40);  // row 0: zero coefficient on the inf row of B
+    a.at(0, 3) = 0.0;
+    a.at(0, 5) = 2.0;
+    a.at(1, 3) = 1.0;
+    Matrix b(40, 36, 1.0);
+    b.at(3, 7) = inf;
+    const Matrix c = Matrix::matMul(a, false, b, false);
+    EXPECT_EQ(c.at(0, 7), 2.0);
+    EXPECT_EQ(c.at(1, 7), inf);
+    const Matrix bt(36, 40, 1.0);
+    Matrix with_inf = bt;
+    with_inf.at(7, 3) = inf;
+    const Matrix fwd = Matrix::matMul(a, false, with_inf, true);
+    EXPECT_TRUE(std::isnan(fwd.at(0, 7)));  // 0·inf was added
+    EXPECT_EQ(fwd.at(0, 6), 2.0);
+  }
+}
+
 TEST_F(SimdTest, AdamKernelBitIdenticalAcrossDispatch) {
   if (!haveAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
   Rng rng(1337);
@@ -237,12 +411,13 @@ TEST_F(SimdTest, MlpAdamTrainingBitIdenticalAcrossDispatch) {
   EXPECT_EQ(scalar_state, avx2_state);
 }
 
-TEST_F(SimdTest, TrainAgentBitIdenticalAcrossDispatch) {
-  if (!haveAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
-  // End to end over every dispatching layer a training step runs: the
-  // embedder's accumulates (the RL state) and the learner's GEMM + Adam.
-  // A short epsilon decay puts greedy, Q-value-driven actions in the
-  // trajectory, so any divergence in a state vector changes what follows.
+/// Byte string of a short training run over every dispatching layer a
+/// training step runs (the embedder's accumulates that build the RL state,
+/// the learner's GEMMs and Adam): the episode rewards as raw doubles, then
+/// the saved model. A short epsilon decay puts greedy, Q-value-driven
+/// actions in the trajectory, so any divergence in a state vector changes
+/// what follows.
+std::string trainTrajectory() {
   const SuiteSpec suite = trainingCorpus();
   std::vector<std::unique_ptr<Module>> storage;
   std::vector<const Module*> corpus;
@@ -252,25 +427,43 @@ TEST_F(SimdTest, TrainAgentBitIdenticalAcrossDispatch) {
     corpus.push_back(storage.back().get());
     if (corpus.size() == 4) break;
   }
-  ASSERT_EQ(corpus.size(), 4u);
-  auto run = [&](simd::SimdMode mode) {
-    simd::setSimdMode(mode);
-    TrainConfig cfg;
-    cfg.total_steps = 300;
-    cfg.agent.epsilon_decay_steps = 200;
-    const TrainResult result = trainAgent(corpus, cfg);
-    EXPECT_GT(result.stats.episodes, 10u);
-    const std::vector<double>& rewards = result.stats.episode_rewards;
-    std::ostringstream os;
-    os.write(reinterpret_cast<const char*>(rewards.data()),
-             static_cast<std::streamsize>(rewards.size() * sizeof(double)));
-    result.agent->saveModel(os);
-    return os.str();
-  };
-  const std::string scalar_run = run(simd::SimdMode::Scalar);
-  const std::string avx2_run = run(simd::SimdMode::Avx2);
+  EXPECT_EQ(corpus.size(), 4u);
+  TrainConfig cfg;
+  cfg.total_steps = 300;
+  cfg.agent.epsilon_decay_steps = 200;
+  const TrainResult result = trainAgent(corpus, cfg);
+  EXPECT_GT(result.stats.episodes, 10u);
+  EXPECT_GT(result.agent->trainingUpdates(), 50u);
+  const std::vector<double>& rewards = result.stats.episode_rewards;
+  std::ostringstream os;
+  os.write(reinterpret_cast<const char*>(rewards.data()),
+           static_cast<std::streamsize>(rewards.size() * sizeof(double)));
+  result.agent->saveModel(os);
+  return os.str();
+}
+
+TEST_F(SimdTest, TrainAgentBitIdenticalAcrossDispatch) {
+  if (!haveAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  simd::setSimdMode(simd::SimdMode::Scalar);
+  const std::string scalar_run = trainTrajectory();
+  simd::setSimdMode(simd::SimdMode::Avx2);
+  const std::string avx2_run = trainTrajectory();
   EXPECT_TRUE(scalar_run == avx2_run)
       << "episode rewards or saved model differ across dispatch paths";
+}
+
+TEST_F(SimdTest, TrainAgentTrajectoryMatchesPinnedDigest) {
+  // The relative checks (scalar ≡ AVX2, batch ≡ per-sample) cannot see a
+  // kernel change that moves both dispatch paths alike; this absolute pin
+  // can. The constant was computed before the register-blocked kernels
+  // landed, with the per-cell kernels they replaced. It also depends on
+  // libm: std::pow (Adam's bias correction) and the log/sqrt/cos of the
+  // Gaussian initialisation are not required to be correctly rounded, so
+  // a different libm may move the digest while every relative test holds.
+  constexpr std::uint64_t kPinnedDigest = 0x5e6612b5e8ce309bull;
+  const std::uint64_t digest = fnv1a(trainTrajectory());
+  EXPECT_EQ(digest, kPinnedDigest) << "trajectory digest 0x" << std::hex
+                                   << digest;
 }
 
 TEST_F(SimdTest, ResultsStayCloseToNaiveReference) {

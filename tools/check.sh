@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full correctness gate: configure, build, run the test suite, lint every
-# example MiniIR module under instrumentation, then smoke-test the fault
-# containment and serving layers. Mirrors what CI would run; exits non-zero
-# on the first failure.
+# example MiniIR module under instrumentation, smoke-test the fault
+# containment and serving layers, then build the end-to-end benchmark
+# (e2ebench/, in <build-dir>-e2e) and run its smoke tests. Mirrors what CI
+# would run; exits non-zero if any stage fails.
 #
 # Usage: tools/check.sh [--tsan] [--asan] [--ubsan] [--tidy] [--bench]
 #                       [--chaos] [build-dir]      (default build dir: build)
@@ -244,6 +245,24 @@ else
   fi
 fi
 rm -rf "$ONLINE_DIR"
+
+echo "== e2ebench smoke =="
+# The end-to-end benchmark (e2ebench/) is a CMake package of its own that
+# builds the program's libraries from src/. Configure it into
+# <build-dir>-e2e, build posetrl_bench, and run that directory's ctest:
+# every workload once untraced and once traced, with --smoke (the 8
+# smoke_<workload>_trace{0,1} tests). Serially, because the tests share
+# the build directory as their state dir (the cached reference agent).
+E2E_BUILD="${BUILD}-e2e"
+if cmake -B "$E2E_BUILD" -S "$ROOT/e2ebench" >/dev/null &&
+    cmake --build "$E2E_BUILD" -j"$(nproc)" --target posetrl_bench \
+        >/dev/null &&
+    ctest --test-dir "$E2E_BUILD" --output-on-failure; then
+  echo "ok   e2ebench smoke (posetrl_bench built, smoke ctest passed)"
+else
+  echo "FAIL e2ebench smoke"
+  status=1
+fi
 
 # Serve run with a disk-fault window injected once serving starts: every
 # durability syscall in ops [from, from+count) fails with the given errno.
