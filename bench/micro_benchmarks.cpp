@@ -29,6 +29,7 @@
 #include "passes/pass.h"
 #include "rl/dqn.h"
 #include "support/arena.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 #include "target/mca_model.h"
 #include "target/size_model.h"
@@ -419,7 +420,9 @@ BENCHMARK(BM_MlpAdamStep);
 
 void BM_DqnTrainOnBatch(benchmark::State& state) {
   // One default-config learner update (batch 32, Monte-Carlo targets):
-  // batch assembly, the batched forward/backward GEMMs and Adam.
+  // batch assembly, the batched forward/backward GEMMs and Adam, on a
+  // learner pool of the given width (1 is the serial path).
+  ParallelScope scope(static_cast<std::size_t>(state.range(0)));
   DqnConfig cfg;
   DoubleDqn agent(cfg);
   Rng rng(41);
@@ -441,7 +444,10 @@ void BM_DqnTrainOnBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(agent.trainOnBatch(batch));
   }
 }
-BENCHMARK(BM_DqnTrainOnBatch);
+BENCHMARK(BM_DqnTrainOnBatch)
+    ->ArgName("width")
+    ->DenseRange(1, 4)
+    ->UseRealTime();
 
 /// A GEMM operand sparsified like the DQN update's: density_pct 100 is
 /// dense, 0 is one non-zero per row (the one-hot output-layer gradient),

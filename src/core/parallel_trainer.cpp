@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "ir/module.h"
 #include "support/error.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace posetrl {
@@ -136,6 +135,10 @@ TrainResult runParallelTraining(const std::vector<const Module*>& corpus,
   DoubleDqn& agent = *result.agent;
 
   const std::size_t num_actors = config.num_actors;
+  // One pool for the whole run, at least one part per actor: the rounds'
+  // actors and the learner's GEMMs and Adam all run on it.
+  ParallelScope scope(std::max(num_actors, affinityWidth()));
+  WorkerPool& pool = scope.pool();
   ShardedReplayBuffer replay(
       num_actors,
       std::max<std::size_t>(1, config.agent.replay_capacity / num_actors));
@@ -173,23 +176,12 @@ TrainResult runParallelTraining(const std::vector<const Module*>& corpus,
       }
     }
 
-    std::vector<std::thread> threads;
-    std::vector<std::exception_ptr> errors(num_actors);
-    threads.reserve(num_actors);
-    for (std::size_t a = 0; a < num_actors; ++a) {
-      threads.emplace_back([&, a] {
-        try {
-          actors[a]->runRound(corpus, actions, config, policy, eps, quotas[a],
-                              replay);
-        } catch (...) {
-          errors[a] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
+    // The actors run as the parts of one fork, actor a on the pool's part a;
+    // an actor's exception is rethrown here, the lowest actor's first.
+    pool.run(num_actors, [&](std::size_t a) {
+      actors[a]->runRound(corpus, actions, config, policy, eps, quotas[a],
+                          replay);
+    });
 
     // Merge in actor order — the only order the stats ever see, however the
     // threads were actually scheduled.

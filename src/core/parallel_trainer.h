@@ -7,10 +7,11 @@
 /// Architecture: training proceeds in rounds. At the start of a round the
 /// learner copies the agent's online network into a read-only policy
 /// snapshot and freezes the current ε; N rollout actors then run one
-/// episode each, concurrently, against that snapshot — every actor owns its
-/// private PhaseOrderEnv cache (one env per corpus program, embedding cache
-/// and quarantine included), a private program-selection RNG stream and a
-/// private exploration RNG stream (Rng::forStream(seed, actor + 1), so
+/// episode each, concurrently (as the parts of one fork on the run's
+/// learner pool, support/parallel.h), against that snapshot — every actor
+/// owns its private PhaseOrderEnv cache (one env per corpus program,
+/// embedding cache and quarantine included), a private program-selection
+/// RNG stream and a private exploration RNG stream (Rng::forStream(seed, actor + 1), so
 /// streams never collide with each other or with the agent's own
 /// Rng(seed)). Finished episodes are Monte-Carlo annotated and appended to
 /// the actor's own shard of a ShardedReplayBuffer. After the round barrier

@@ -8,6 +8,7 @@
 #include "faults/checkpoint.h"
 #include "ir/module.h"
 #include "support/error.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace posetrl {
@@ -20,6 +21,9 @@ TrainResult runTraining(const std::vector<const Module*>& corpus,
                         const TrainConfig& config,
                         const TrainerCheckpoint* resume_from) {
   POSETRL_CHECK(!corpus.empty(), "training corpus is empty");
+  // The learner's GEMMs and Adam split across the idle cores for the length
+  // of the run; the helpers are joined before this returns.
+  ParallelScope pool;
   // Sweep the orphaned tmp a save interrupted mid-publish may have left —
   // the checkpoint itself is intact (rename is atomic), only debris remains.
   if (!config.checkpoint_path.empty()) gcCheckpointTmp(config.checkpoint_path);

@@ -46,7 +46,11 @@ struct TrainConfig {
   /// bit-exact with earlier releases and with checkpoint/resume; >= 2
   /// dispatches to the round-based actor–learner pipeline
   /// (core/parallel_trainer.h), which is deterministic for a fixed actor
-  /// count but does not support checkpointing.
+  /// count but does not support checkpointing. Either way the learner's
+  /// update runs on a learner pool (support/parallel.h) as wide as the
+  /// process's CPU affinity mask, bit-identically to a serial update; the
+  /// pipeline widens the pool to num_actors when that is larger and runs
+  /// each round's actors as the parts of one fork on it.
   std::size_t num_actors = 1;
 };
 

@@ -79,7 +79,14 @@ class DoubleDqn {
   /// Q-values from the online network.
   std::vector<double> qValues(const std::vector<double>& state) const;
 
-  /// Records a transition and runs a training step when due.
+  /// Records a transition and runs a training step when due: past the
+  /// replay warmup, whenever stepsTaken() % train_every == 0. Only act()
+  /// advances stepsTaken(), and the training loop acts a whole episode
+  /// before it observes the episode, so the cadence comes in bursts: every
+  /// observe() of an episode sees the episode's final count, and with µ = 4
+  /// and 15-step episodes every fourth episode end makes 15 updates while
+  /// the others make none (DqnTest.UpdatesArriveInBurstsAtEpisodeEnds).
+  /// The mean rate is still one update per train_every steps.
   void observe(Transition t);
 
   // --- learner surface (parallel actor–learner trainer) -------------------

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "rl/matrix_simd.h"
+#include "support/parallel.h"
 
 namespace posetrl {
 
@@ -142,6 +143,71 @@ void rankK(const simd::RankUpdate& u, bool use_avx2) {
   }
 }
 
+/// Multiply-adds per part below which a product is not worth forking: at
+/// about 10 GMAC/s that is a few microseconds of work, against about one
+/// for the fork and join of spinning helpers.
+constexpr std::size_t kGemmGrain = std::size_t{1} << 16;
+
+/// Per-thread term lists of an ordered rank-k update. They only grow: a
+/// fresh allocation of this size would be zeroed and page-faulted on every
+/// update.
+struct RankScratch {
+  std::vector<simd::RankTerm> terms;
+  std::vector<std::size_t> start;
+};
+
+RankScratch& rankScratch() {
+  thread_local RankScratch scratch;
+  return scratch;
+}
+
+/// Compacts the non-zero coefficients of op(A) rows [i0, i1) over k, in
+/// ascending k, into \p s (rows renumbered from 0). The write is
+/// unconditional and the cursor advances only past a non-zero, so
+/// ReLU-random zeros cost no branch mispredictions.
+void compactTerms(const double* pa, std::size_t lda, bool transpose_a,
+                  std::size_t i0, std::size_t i1, std::size_t k,
+                  RankScratch& s) {
+  const std::size_t rows = i1 - i0;
+  if (s.terms.size() < rows * k + 1) s.terms.resize(rows * k + 1);
+  if (s.start.size() < rows + 1) s.start.resize(rows + 1);
+  std::size_t count = 0;
+  for (std::size_t i = i0; i < i1; ++i) {
+    s.start[i - i0] = count;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const double av = transpose_a ? pa[kk * lda + i] : pa[i * lda + kk];
+      s.terms[count] = {av, kk};
+      count += av != 0.0 ? 1 : 0;
+    }
+  }
+  s.start[rows] = count;
+}
+
+/// Applies \p e to C's block [i0, i1) x [j0, j1).
+void applyEpilogue(const GemmEpilogue& e, double* c, std::size_t ldc,
+                   std::size_t i0, std::size_t i1, std::size_t j0,
+                   std::size_t j1) {
+  if (e.bias == nullptr && !e.relu && e.mask == nullptr) return;
+  for (std::size_t i = i0; i < i1; ++i) {
+    double* row = c + i * ldc;
+    if (e.bias != nullptr) {
+      const double* bias = e.bias->data();
+      for (std::size_t j = j0; j < j1; ++j) row[j] += bias[j];
+    }
+    if (e.relu) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        row[j] = keepIf(row[j] > 0.0, row[j]);
+      }
+    }
+    if (e.mask != nullptr) {
+      const double* mrow = e.mask->data() + i * e.mask->cols();
+      for (std::size_t j = j0; j < j1; ++j) {
+        row[j] = keepIf(!(mrow[j] <= 0.0), row[j]);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<double> Matrix::matVec(const std::vector<double>& v,
@@ -158,7 +224,7 @@ std::vector<double> Matrix::matVec(const std::vector<double>& v,
 }
 
 void Matrix::addMatMul(const Matrix& a, bool transpose_a, const Matrix& b,
-                       bool transpose_b) {
+                       bool transpose_b, const GemmEpilogue& epilogue) {
   POSETRL_CHECK(!(transpose_a && transpose_b),
                 "addMatMul: at most one operand may be transposed");
   const std::size_t m = transpose_a ? a.cols() : a.rows();
@@ -170,48 +236,72 @@ void Matrix::addMatMul(const Matrix& a, bool transpose_a, const Matrix& b,
   POSETRL_CHECK(rows_ == m && cols_ == n,
                 "addMatMul output shape mismatch: ", rows_, "x", cols_,
                 " vs ", m, "x", n);
+  POSETRL_CHECK(epilogue.bias == nullptr || epilogue.bias->size() == n,
+                "addMatMul bias width mismatch");
+  POSETRL_CHECK(epilogue.mask == nullptr || (epilogue.mask->rows() == m &&
+                                             epilogue.mask->cols() == n),
+                "addMatMul mask shape mismatch");
+  // Every check is above: parts never throw, so a fork always joins whole.
   const bool use_avx2 = simd::avx2Active();
-  if (transpose_b) {
-    // C[i][j] += sum_k A[i][k] * B[j][k]: one canonical dot per cell,
-    // matching matVec; no term is skipped.
-    dotTile(data_.data(), cols_, a.data(), a.cols(), m, b.data(), b.cols(),
-            n, k, use_avx2);
-    return;
-  }
-  // C[i][j] += sum_k op(A)[i][k] * B[k][j]: an ordered rank-k update.
-  // Each output row's non-zero coefficients are compacted once, in
-  // ascending k — the per-sample gradient loops' order and zero-skip. The
-  // write is unconditional and the cursor advances only past a non-zero,
-  // so ReLU-random zeros cost no branch mispredictions. The term lists
-  // live in per-thread scratch that only grows: a fresh allocation of this
-  // size would be zeroed and page-faulted on every update.
+  double* c = data_.data();
   const double* pa = a.data();
   const std::size_t lda = a.cols();
-  thread_local std::vector<simd::RankTerm> terms;
-  thread_local std::vector<std::size_t> start;
-  if (terms.size() < m * k + 1) terms.resize(m * k + 1);
-  if (start.size() < m + 1) start.resize(m + 1);
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    start[i] = count;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double av = transpose_a ? pa[kk * lda + i] : pa[i * lda + kk];
-      terms[count] = {av, kk};
-      count += av != 0.0 ? 1 : 0;
-    }
+  if (transpose_b) {
+    // C[i][j] += sum_k A[i][k] * B[j][k]: one canonical dot per cell,
+    // matching matVec; no term is skipped. A part owns a range of output
+    // columns — rows of B, whole 1x3 tiles — and streams only its slice.
+    const std::size_t parts =
+        plannedParts(m * k * n, kGemmGrain, (n + 2) / 3);
+    forkJoin(parts, [&](std::size_t p) {
+      const std::size_t j0 = splitPoint(n, parts, p, 3);
+      const std::size_t j1 = splitPoint(n, parts, p + 1, 3);
+      dotTile(c + j0, cols_, pa, lda, m, b.data() + j0 * b.cols(), b.cols(),
+              j1 - j0, k, use_avx2);
+      applyEpilogue(epilogue, c, cols_, 0, m, j0, j1);
+    });
+    return;
   }
-  start[m] = count;
-  rankK({data_.data(), cols_, m, n, b.data(), b.cols(), k, terms.data(),
-         start.data()},
-        use_avx2);
+  // C[i][j] += sum_k op(A)[i][k] * B[k][j]: an ordered rank-k update over
+  // each row's non-zero coefficients, compacted in ascending k (the
+  // per-sample gradient loops' order and zero-skip).
+  if (transpose_a) {
+    // The weight gradient: a part owns a range of output rows and compacts
+    // their terms itself, into its own thread's scratch.
+    const std::size_t parts = plannedParts(m * k * n, kGemmGrain, m);
+    forkJoin(parts, [&](std::size_t p) {
+      const std::size_t i0 = splitPoint(m, parts, p, 1);
+      const std::size_t i1 = splitPoint(m, parts, p + 1, 1);
+      RankScratch& s = rankScratch();
+      compactTerms(pa, lda, true, i0, i1, k, s);
+      rankK({c + i0 * cols_, cols_, i1 - i0, n, b.data(), b.cols(), k,
+             s.terms.data(), s.start.data()},
+            use_avx2);
+      applyEpilogue(epilogue, c, cols_, i0, i1, 0, n);
+    });
+    return;
+  }
+  // The input gradient (few rows, many columns): compact every row once,
+  // here, then let each part own a range of 32-column strips.
+  RankScratch& s = rankScratch();
+  compactTerms(pa, lda, false, 0, m, k, s);
+  const std::size_t parts =
+      plannedParts(s.start[m] * n, kGemmGrain, (n + 31) / 32);
+  forkJoin(parts, [&](std::size_t p) {
+    const std::size_t j0 = splitPoint(n, parts, p, 32);
+    const std::size_t j1 = splitPoint(n, parts, p + 1, 32);
+    rankK({c + j0, cols_, m, j1 - j0, b.data() + j0, b.cols(), k,
+           s.terms.data(), s.start.data()},
+          use_avx2);
+    applyEpilogue(epilogue, c, cols_, 0, m, j0, j1);
+  });
 }
 
 Matrix Matrix::matMul(const Matrix& a, bool transpose_a, const Matrix& b,
-                      bool transpose_b) {
+                      bool transpose_b, const GemmEpilogue& epilogue) {
   const std::size_t m = transpose_a ? a.cols() : a.rows();
   const std::size_t n = transpose_b ? b.rows() : b.cols();
   Matrix c = Matrix::zeros(m, n);
-  c.addMatMul(a, transpose_a, b, transpose_b);
+  c.addMatMul(a, transpose_a, b, transpose_b, epilogue);
   return c;
 }
 

@@ -206,8 +206,13 @@ void axpyAvx2(double* y, const double* x, double a, std::size_t n) {
   for (; j < n; ++j) y[j] += a * x[j];
 }
 
-void adamUpdateAvx2(double* w, double* g, double* m, double* v, std::size_t n,
-                    double lr, double inv_batch, double bc1, double bc2) {
+namespace {
+
+/// adamUpdateAvx2's loop, with the bias-corrected m/bc1 divide compiled in
+/// only while bc1 differs from 1.0.
+template <bool kDivideM>
+void adamLoop(double* w, double* g, double* m, double* v, std::size_t n,
+              double lr, double inv_batch, double bc1, double bc2) {
   const __m256d vinv = _mm256_set1_pd(inv_batch);
   const __m256d vb1 = _mm256_set1_pd(kAdamBeta1);
   const __m256d vb1c = _mm256_set1_pd(1.0 - kAdamBeta1);
@@ -228,7 +233,7 @@ void adamUpdateAvx2(double* w, double* g, double* m, double* v, std::size_t n,
     const __m256d vj =
         _mm256_add_pd(_mm256_mul_pd(vb2, _mm256_loadu_pd(v + j)),
                       _mm256_mul_pd(_mm256_mul_pd(vb2c, grad), grad));
-    const __m256d mh = _mm256_div_pd(mj, vbc1);
+    const __m256d mh = kDivideM ? _mm256_div_pd(mj, vbc1) : mj;
     const __m256d vh = _mm256_div_pd(vj, vbc2);
     const __m256d upd = _mm256_div_pd(
         _mm256_mul_pd(vlr, mh), _mm256_add_pd(_mm256_sqrt_pd(vh), veps));
@@ -241,10 +246,21 @@ void adamUpdateAvx2(double* w, double* g, double* m, double* v, std::size_t n,
     const double grad = g[j] * inv_batch;
     m[j] = kAdamBeta1 * m[j] + (1.0 - kAdamBeta1) * grad;
     v[j] = kAdamBeta2 * v[j] + (1.0 - kAdamBeta2) * grad * grad;
-    const double mh = m[j] / bc1;
+    const double mh = kDivideM ? m[j] / bc1 : m[j];
     const double vh = v[j] / bc2;
     w[j] -= lr * mh / (std::sqrt(vh) + kAdamEps);
     g[j] = 0.0;
+  }
+}
+
+}  // namespace
+
+void adamUpdateAvx2(double* w, double* g, double* m, double* v, std::size_t n,
+                    double lr, double inv_batch, double bc1, double bc2) {
+  if (bc1 == 1.0) {
+    adamLoop<false>(w, g, m, v, n, lr, inv_batch, bc1, bc2);
+  } else {
+    adamLoop<true>(w, g, m, v, n, lr, inv_batch, bc1, bc2);
   }
 }
 

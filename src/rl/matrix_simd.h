@@ -24,7 +24,11 @@
 /// forced-scalar and forced-AVX2 runs produce byte-identical training
 /// traces. The AVX2 kernels only re-tile the *cells* (which outputs share a
 /// load, which panel stays in L1); a cell's own sequence of roundings never
-/// changes. The AVX2 translation unit is compiled with -mno-fma
+/// changes. The same holds across threads: Matrix::addMatMul hands each
+/// learner-pool part (support/parallel.h) a block of whole cells — a range
+/// of columns or rows — and calls these kernels on it, so no cell's terms
+/// are ever split between threads and every pool width gives the same
+/// bytes. The AVX2 translation unit is compiled with -mno-fma
 /// -ffp-contract=off: a fused multiply-add would skip the intermediate
 /// rounding the scalar path performs and silently break the contract.
 ///
@@ -98,11 +102,20 @@ void rankKAvx2(const RankUpdate& u, double* panel);
 ///   g[j] = 0.
 /// Purely elementwise — no reductions — and every step (mul, add, div,
 /// sqrt) is an individually rounded IEEE operation in the same order as
-/// the scalar twin in mlp.cpp, so both paths update bit-identically.
+/// the scalar twin adamUpdateScalar, so both paths update bit-identically
+/// and any split of [0, n) into parts does too. Once bc1 = 1 - β1^t rounds
+/// to exactly 1.0 (t >= 355) the divide m/bc1 is skipped: m/1.0 == m bit
+/// for bit for every double, infinities and NaN included.
 void adamUpdateAvx2(double* w, double* g, double* m, double* v, std::size_t n,
                     double lr, double inv_batch, double bc1, double bc2);
 /// y[j] += a * x[j] for j in [0, n).
 void axpyAvx2(double* y, const double* x, double a, std::size_t n);
 #endif
+
+/// The scalar twin of adamUpdateAvx2 (defined in mlp.cpp): the same
+/// per-element expression order, the same bc1 == 1.0 skip.
+void adamUpdateScalar(double* w, double* g, double* m, double* v,
+                      std::size_t n, double lr, double inv_batch, double bc1,
+                      double bc2);
 
 }  // namespace posetrl::simd

@@ -1,28 +1,15 @@
 #include "rl/mlp.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 
 #include "rl/matrix_simd.h"
+#include "support/parallel.h"
 
 namespace posetrl {
-
-namespace {
-
-/// cond ? x : +0.0, without a branch: ReLU signs are data-random, so a
-/// branch on them mispredicts about half the time. relu(x) is
-/// keepIf(x > 0.0, x), which equals std::max(0.0, x) for every x, NaN and
-/// -0.0 included.
-inline double keepIf(bool cond, double x) {
-  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) &
-                               (std::uint64_t{0} - cond));
-}
-
-}  // namespace
 
 Mlp::Mlp(const std::vector<std::size_t>& sizes, Rng& rng) : sizes_(sizes) {
   POSETRL_CHECK(sizes.size() >= 2, "MLP needs at least input and output");
@@ -55,19 +42,15 @@ Matrix Mlp::forwardBatch(const Matrix& x) const {
   POSETRL_CHECK(x.cols() == sizes_.front(),
                 "forwardBatch input width mismatch: ", x.cols(), " vs ",
                 sizes_.front());
-  Matrix a = x;
+  // a (batch x in) * w^T (in x out) + bias broadcast over rows, then ReLU
+  // on hidden layers, fused into the product's parts.
+  Matrix a;
+  const Matrix* in = &x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
-    // a (batch x in) * w^T (in x out) + bias broadcast over rows.
-    Matrix next = Matrix::matMul(a, false, layer.w, true);
-    for (std::size_t r = 0; r < next.rows(); ++r) {
-      double* row = next.data() + r * next.cols();
-      for (std::size_t c = 0; c < next.cols(); ++c) row[c] += layer.b[c];
-    }
-    if (l + 1 < layers_.size()) {
-      for (double& v : next.raw()) v = keepIf(v > 0.0, v);
-    }
-    a = std::move(next);
+    a = Matrix::matMul(*in, false, layer.w, true,
+                       {&layer.b, l + 1 < layers_.size(), nullptr});
+    in = &a;
   }
   return a;
 }
@@ -78,23 +61,18 @@ double Mlp::accumulateGradientBatch(const Matrix& x,
   const std::size_t batch = x.rows();
   POSETRL_CHECK(actions.size() == batch && targets.size() == batch,
                 "accumulateGradientBatch: batch size mismatch");
-  // Forward, storing the activation matrix of every layer.
-  std::vector<Matrix> acts;
-  acts.reserve(layers_.size() + 1);
-  acts.push_back(x);
+  // Forward, storing the output of every layer; layer l reads input(l).
+  std::vector<Matrix> outs;
+  outs.reserve(layers_.size());
+  const auto input = [&](std::size_t l) -> const Matrix& {
+    return l == 0 ? x : outs[l - 1];
+  };
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
-    Matrix next = Matrix::matMul(acts.back(), false, layer.w, true);
-    for (std::size_t r = 0; r < next.rows(); ++r) {
-      double* row = next.data() + r * next.cols();
-      for (std::size_t c = 0; c < next.cols(); ++c) row[c] += layer.b[c];
-    }
-    if (l + 1 < layers_.size()) {
-      for (double& v : next.raw()) v = keepIf(v > 0.0, v);
-    }
-    acts.push_back(std::move(next));
+    outs.push_back(Matrix::matMul(input(l), false, layer.w, true,
+                                  {&layer.b, l + 1 < layers_.size(), nullptr}));
   }
-  const Matrix& q = acts.back();
+  const Matrix& q = outs.back();
   // Output gradient: only the chosen head of each sample is non-zero
   // (Huber, delta = 1).
   Matrix grad = Matrix::zeros(batch, q.cols());
@@ -107,24 +85,16 @@ double Mlp::accumulateGradientBatch(const Matrix& x,
   }
   for (std::size_t li = layers_.size(); li-- > 0;) {
     Layer& layer = layers_[li];
-    const Matrix& input = acts[li];
     // dW += grad^T * input; db += column sums of grad, in sample order.
-    layer.gw.addMatMul(grad, true, input, false);
+    layer.gw.addMatMul(grad, true, input(li), false);
     for (std::size_t s = 0; s < batch; ++s) {
       const double* grow = grad.data() + s * grad.cols();
       for (std::size_t c = 0; c < grad.cols(); ++c) layer.gb[c] += grow[c];
     }
     if (li == 0) break;
     // Propagate: dInput = grad * W, masked by the ReLU of layer li-1.
-    Matrix next = Matrix::matMul(grad, false, layer.w, false);
-    for (std::size_t s = 0; s < batch; ++s) {
-      double* nrow = next.data() + s * next.cols();
-      const double* arow = input.data() + s * input.cols();
-      for (std::size_t c = 0; c < next.cols(); ++c) {
-        nrow[c] = keepIf(!(arow[c] <= 0.0), nrow[c]);  // ReLU mask.
-      }
-    }
-    grad = std::move(next);
+    grad = Matrix::matMul(grad, false, layer.w, false,
+                          {nullptr, false, &input(li)});
   }
   return loss;
 }
@@ -181,24 +151,27 @@ double Mlp::accumulateGradient(const std::vector<double>& x,
   return std::abs(td);
 }
 
-namespace {
+namespace simd {
 
-/// Scalar twin of simd::adamUpdateAvx2 — identical per-element expression
-/// order, so both dispatch paths update the parameters bit-identically
-/// (every step is elementwise; there is no reduction to re-order).
 void adamUpdateScalar(double* w, double* g, double* m, double* v,
                       std::size_t n, double lr, double inv_batch, double bc1,
                       double bc2) {
+  // m / 1.0 == m bit for bit, so the divide is skipped once bc1 rounds to 1.
+  const bool divide_m = bc1 != 1.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double grad = g[j] * inv_batch;
-    m[j] = simd::kAdamBeta1 * m[j] + (1.0 - simd::kAdamBeta1) * grad;
-    v[j] = simd::kAdamBeta2 * v[j] + (1.0 - simd::kAdamBeta2) * grad * grad;
-    const double mh = m[j] / bc1;
+    m[j] = kAdamBeta1 * m[j] + (1.0 - kAdamBeta1) * grad;
+    v[j] = kAdamBeta2 * v[j] + (1.0 - kAdamBeta2) * grad * grad;
+    const double mh = divide_m ? m[j] / bc1 : m[j];
     const double vh = v[j] / bc2;
-    w[j] -= lr * mh / (std::sqrt(vh) + simd::kAdamEps);
+    w[j] -= lr * mh / (std::sqrt(vh) + kAdamEps);
     g[j] = 0.0;
   }
 }
+
+}  // namespace simd
+
+namespace {
 
 void adamUpdate(double* w, double* g, double* m, double* v, std::size_t n,
                 double lr, double inv_batch, double bc1, double bc2,
@@ -211,8 +184,13 @@ void adamUpdate(double* w, double* g, double* m, double* v, std::size_t n,
 #else
   (void)use_avx2;
 #endif
-  adamUpdateScalar(w, g, m, v, n, lr, inv_batch, bc1, bc2);
+  simd::adamUpdateScalar(w, g, m, v, n, lr, inv_batch, bc1, bc2);
 }
+
+/// Parameters per part below which Adam is not worth forking: about 4 ns
+/// each (three divides and a square root), so a part is at least about
+/// 16 us of work.
+constexpr std::size_t kAdamGrain = 4096;
 
 }  // namespace
 
@@ -225,14 +203,39 @@ void Mlp::adamStep(double lr, std::size_t batch_size) {
   const double inv_batch =
       1.0 / static_cast<double>(std::max<std::size_t>(1, batch_size));
   const bool use_avx2 = simd::avx2Active();
+  // Every layer's weights, then its biases, as one run of elements: Adam is
+  // elementwise, so a part may own any range of it. Parts cut it in
+  // multiples of 4 (whole AVX2 vectors) in one fork for the whole network.
+  struct Segment {
+    double *w, *g, *m, *v;
+    std::size_t n;
+  };
+  std::vector<Segment> segments;
+  segments.reserve(2 * layers_.size());
+  std::size_t total = 0;
   for (Layer& layer : layers_) {
-    adamUpdate(layer.w.raw().data(), layer.gw.raw().data(),
-               layer.mw.raw().data(), layer.vw.raw().data(), layer.w.size(),
-               lr, inv_batch, bc1, bc2, use_avx2);
-    adamUpdate(layer.b.data(), layer.gb.data(), layer.mb.data(),
-               layer.vb.data(), layer.b.size(), lr, inv_batch, bc1, bc2,
-               use_avx2);
+    segments.push_back({layer.w.data(), layer.gw.data(), layer.mw.data(),
+                        layer.vw.data(), layer.w.size()});
+    segments.push_back({layer.b.data(), layer.gb.data(), layer.mb.data(),
+                        layer.vb.data(), layer.b.size()});
+    total += layer.w.size() + layer.b.size();
   }
+  const std::size_t parts = plannedParts(total, kAdamGrain, (total + 3) / 4);
+  forkJoin(parts, [&](std::size_t p) {
+    const std::size_t lo = splitPoint(total, parts, p, 4);
+    const std::size_t hi = splitPoint(total, parts, p + 1, 4);
+    std::size_t offset = 0;
+    for (const Segment& s : segments) {
+      const std::size_t a = std::max(lo, offset);
+      const std::size_t b = std::min(hi, offset + s.n);
+      if (a < b) {
+        const std::size_t at = a - offset;
+        adamUpdate(s.w + at, s.g + at, s.m + at, s.v + at, b - a, lr,
+                   inv_batch, bc1, bc2, use_avx2);
+      }
+      offset += s.n;
+    }
+  });
 }
 
 void Mlp::copyParametersFrom(const Mlp& other) {

@@ -44,14 +44,17 @@ class Mlp {
   /// actions[i] toward targets[i]. One GEMM per layer for the weight
   /// gradients and one for each backpropagated activation gradient, and
   /// bit-identical to calling accumulateGradient() row by row (every
-  /// gradient cell receives its per-sample terms in the same order).
+  /// gradient cell receives its per-sample terms in the same order), at
+  /// any learner-pool width. \p x is read in place, never copied.
   /// Returns the summed absolute TD errors.
   double accumulateGradientBatch(const Matrix& x,
                                  const std::vector<std::size_t>& actions,
                                  const std::vector<double>& targets);
 
   /// Applies one Adam step using the accumulated gradients (averaged over
-  /// \p batch_size) and clears them.
+  /// \p batch_size) and clears them. Under a ParallelScope
+  /// (support/parallel.h) the whole network is one fork: every layer's
+  /// weights and biases form one element run cut into ranges.
   void adamStep(double lr, std::size_t batch_size);
 
   /// Copies all parameters from \p other (target-network sync).

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -907,6 +908,51 @@ TEST(DqnTest, NoUpdatesBeforeReplayWarmup) {
   EXPECT_EQ(agent.trainingUpdates(), 0u) << "trained below warmup";
   feed(2);
   EXPECT_GT(agent.trainingUpdates(), 0u) << "warmup met, must train";
+}
+
+TEST(DqnTest, UpdatesArriveInBurstsAtEpisodeEnds) {
+  // The training loop acts a whole episode, then observes its transitions.
+  // observe() tests steps_ % train_every, and only act() advances steps_,
+  // so all 15 observe() calls of an episode see one count: an episode whose
+  // end count is a multiple of µ = 4 (every fourth 15-step episode) makes
+  // a burst of 15 updates, and the others make none. The mean rate is still
+  // one update per 4 steps. Pinned here so a change of cadence (which moves
+  // every trajectory) is deliberate.
+  DqnConfig cfg;
+  cfg.state_dim = 3;
+  cfg.num_actions = 2;
+  cfg.hidden = {4};
+  DoubleDqn agent(cfg);
+  ASSERT_EQ(cfg.train_every, 4u);
+  ASSERT_EQ(agent.warmupThreshold(), 64u);
+  const std::size_t kEpisode = 15;
+  const std::size_t kSteps = 1000;
+  std::vector<std::size_t> per_episode;
+  for (std::size_t steps = 0; steps < kSteps;) {
+    const std::size_t len = std::min(kEpisode, kSteps - steps);
+    std::vector<Transition> episode(len);
+    for (Transition& t : episode) {
+      t.state = {0.1, 0.2, 0.3};
+      t.next_state = t.state;
+      t.action = agent.act(t.state, /*explore=*/true);
+      t.reward = 0.5;
+    }
+    steps += len;
+    const std::size_t before = agent.trainingUpdates();
+    for (Transition& t : episode) agent.observe(std::move(t));
+    per_episode.push_back(agent.trainingUpdates() - before);
+  }
+  ASSERT_EQ(per_episode.size(), 67u);
+  for (std::size_t e = 0; e < per_episode.size(); ++e) {
+    const std::size_t end = std::min(kEpisode * (e + 1), kSteps);
+    const std::size_t len = end - kEpisode * e;
+    // Past warmup (the replay holds 64 transitions during episode 5),
+    // an episode trains on every one of its transitions or on none.
+    const std::size_t expected = end % 4 == 0 && end - len >= 64 ? len : 0;
+    EXPECT_EQ(per_episode[e], expected) << "episode " << e + 1;
+  }
+  // 15 bursts of 15 (episodes 8, 12, ..., 64) and the last 10-step one.
+  EXPECT_EQ(agent.trainingUpdates(), 235u);
 }
 
 TEST(DqnTest, MinReplaySizeRaisesWarmupAboveLearnStart) {

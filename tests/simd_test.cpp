@@ -382,6 +382,58 @@ TEST_F(SimdTest, AdamKernelBitIdenticalAcrossDispatch) {
   }
 }
 
+TEST_F(SimdTest, AdamSkipsTheUnitBiasCorrectionExactly) {
+  // From t = 355 on, bc1 = 1 - 0.9^t rounds to exactly 1.0 and both Adam
+  // kernels skip the m/bc1 divide. m/1.0 == m for every double, so the
+  // skip must match the divide bit for bit on finite, infinite and NaN
+  // moments (and gradients) alike.
+  const double bc1 = 1.0 - std::pow(simd::kAdamBeta1, 400.0);
+  const double bc2 = 1.0 - std::pow(simd::kAdamBeta2, 400.0);
+  ASSERT_EQ(bc1, 1.0);
+  volatile double one = 1.0;  // keeps the reference's divide un-folded
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> specials = {0.0, -0.0, 1e-300, -2.5, 3.0,
+                                        inf,  -inf, nan,    1e300};
+  const double lr = 1e-4, inv_batch = 1.0 / 32.0;
+  Rng rng(400);
+  const std::size_t n = specials.size() * specials.size() + 3;
+  std::vector<double> w(n), g(n), m(n), v(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t a = j % specials.size();
+    const std::size_t b = j / specials.size() % specials.size();
+    w[j] = rng.nextGaussian();
+    m[j] = specials[a];
+    g[j] = j % 2 == 0 ? specials[b] : rng.nextGaussian();
+    v[j] = std::abs(specials[b]) + std::abs(rng.nextGaussian());
+  }
+  std::vector<double> rw = w, rg = g, rm = m, rv = v;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double grad = rg[j] * inv_batch;
+    rm[j] = simd::kAdamBeta1 * rm[j] + (1.0 - simd::kAdamBeta1) * grad;
+    rv[j] = simd::kAdamBeta2 * rv[j] + (1.0 - simd::kAdamBeta2) * grad * grad;
+    rw[j] -= lr * (rm[j] / one) / (std::sqrt(rv[j] / bc2) + simd::kAdamEps);
+    rg[j] = 0.0;
+  }
+  const auto sameBytes = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  const auto check = [&](auto kernel, const char* name) {
+    std::vector<double> kw = w, kg = g, km = m, kv = v;
+    kernel(kw.data(), kg.data(), km.data(), kv.data(), n, lr, inv_batch, bc1,
+           bc2);
+    EXPECT_TRUE(sameBytes(kw, rw)) << name << " weights";
+    EXPECT_TRUE(sameBytes(km, rm)) << name << " first moments";
+    EXPECT_TRUE(sameBytes(kv, rv)) << name << " second moments";
+    EXPECT_TRUE(sameBytes(kg, rg)) << name << " gradients";
+  };
+  check(simd::adamUpdateScalar, "scalar");
+#if defined(__x86_64__) || defined(_M_X64)
+  if (haveAvx2()) check(simd::adamUpdateAvx2, "avx2");
+#endif
+}
+
 TEST_F(SimdTest, MlpAdamTrainingBitIdenticalAcrossDispatch) {
   if (!haveAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
   // End-to-end guard on Mlp::adamStep's dispatch: the same gradient/update

@@ -403,8 +403,12 @@ if [[ $TSAN -eq 1 ]]; then
   # workers sharing the -Oz memo on repeated programs, many threads cloning
   # one module (cloneModule must be a pure read of its source), and the -Oz
   # rung running on rung threads beside the rollout (job handoff, take-back,
-  # and rung threads cloning an input that workers clone and print).
+  # and rung threads cloning an input that workers clone and print), the
+  # learner pool (fork/join handoff, spin-then-park, exceptions, parallel
+  # GEMM and Adam at widths 1-7, a fork after a pooled trainAgent) and the
+  # parallel trainer's determinism tests (actors as the pool's parts).
   TSAN_FILTER='SnapshotTest.ConcurrentSwapChurn:SimdTest.*'
+  TSAN_FILTER+=':LearnerPoolTest.*:ParallelTrainTest.*'
   TSAN_FILTER+=':CompileServiceTest.WorkerPoolMatchesSynchronousCompile'
   TSAN_FILTER+=':OnlineServeTest.HotSwapsNeverMixPoliciesWithinARequest'
   TSAN_FILTER+=':CompileServiceStressTest.RepeatedProgramsKeepLadderGuarantees'
@@ -414,9 +418,9 @@ if [[ $TSAN -eq 1 ]]; then
   TSAN_FILTER+=':CompileServiceTest.SharedInputConcurrentRungs'
   if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/posetrl_tests" \
       --gtest_filter="$TSAN_FILTER" >/dev/null; then
-    echo "ok   tsan swap churn + worker pool + hot swap + simd + oz memo + clone + rung thread tests"
+    echo "ok   tsan swap churn + worker pool + hot swap + simd + learner pool + parallel trainer + oz memo + clone + rung thread tests"
   else
-    echo "FAIL tsan swap churn + worker pool + hot swap + simd + oz memo + clone + rung thread tests"
+    echo "FAIL tsan swap churn + worker pool + hot swap + simd + learner pool + parallel trainer + oz memo + clone + rung thread tests"
     status=1
   fi
 
