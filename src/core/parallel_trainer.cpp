@@ -135,10 +135,13 @@ TrainResult runParallelTraining(const std::vector<const Module*>& corpus,
   DoubleDqn& agent = *result.agent;
 
   const std::size_t num_actors = config.num_actors;
-  // One pool for the whole run, at least one part per actor: the rounds'
-  // actors and the learner's GEMMs and Adam all run on it.
-  ParallelScope scope(std::max(num_actors, affinityWidth()));
-  WorkerPool& pool = scope.pool();
+  // Two pools for the whole run. The actors run as the parts of one fork on
+  // a pool with one part per actor; they fork nothing themselves (their
+  // greedy forward is the serial matVec). The learner's GEMMs and Adam fork
+  // on a CPU-wide scope, so they never cut more parts than there are CPUs,
+  // however many actors there are.
+  WorkerPool actor_pool(num_actors);
+  ParallelScope learner_scope;
   ShardedReplayBuffer replay(
       num_actors,
       std::max<std::size_t>(1, config.agent.replay_capacity / num_actors));
@@ -178,7 +181,7 @@ TrainResult runParallelTraining(const std::vector<const Module*>& corpus,
 
     // The actors run as the parts of one fork, actor a on the pool's part a;
     // an actor's exception is rethrown here, the lowest actor's first.
-    pool.run(num_actors, [&](std::size_t a) {
+    actor_pool.run(num_actors, [&](std::size_t a) {
       actors[a]->runRound(corpus, actions, config, policy, eps, quotas[a],
                           replay);
     });

@@ -7,8 +7,8 @@
 /// Architecture: training proceeds in rounds. At the start of a round the
 /// learner copies the agent's online network into a read-only policy
 /// snapshot and freezes the current ε; N rollout actors then run one
-/// episode each, concurrently (as the parts of one fork on the run's
-/// learner pool, support/parallel.h), against that snapshot — every actor
+/// episode each, concurrently (as the parts of one fork on a pool with one
+/// part per actor, support/parallel.h), against that snapshot — every actor
 /// owns its private PhaseOrderEnv cache (one env per corpus program,
 /// embedding cache and quarantine included), a private program-selection
 /// RNG stream and a private exploration RNG stream (Rng::forStream(seed, actor + 1), so

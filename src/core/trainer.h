@@ -49,8 +49,8 @@ struct TrainConfig {
   /// count but does not support checkpointing. Either way the learner's
   /// update runs on a learner pool (support/parallel.h) as wide as the
   /// process's CPU affinity mask, bit-identically to a serial update; the
-  /// pipeline widens the pool to num_actors when that is larger and runs
-  /// each round's actors as the parts of one fork on it.
+  /// pipeline runs each round's actors as the parts of one fork on a second
+  /// pool with one part per actor.
   std::size_t num_actors = 1;
 };
 

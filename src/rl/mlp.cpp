@@ -206,34 +206,30 @@ void Mlp::adamStep(double lr, std::size_t batch_size) {
   // Every layer's weights, then its biases, as one run of elements: Adam is
   // elementwise, so a part may own any range of it. Parts cut it in
   // multiples of 4 (whole AVX2 vectors) in one fork for the whole network.
-  struct Segment {
-    double *w, *g, *m, *v;
-    std::size_t n;
-  };
-  std::vector<Segment> segments;
-  segments.reserve(2 * layers_.size());
   std::size_t total = 0;
-  for (Layer& layer : layers_) {
-    segments.push_back({layer.w.data(), layer.gw.data(), layer.mw.data(),
-                        layer.vw.data(), layer.w.size()});
-    segments.push_back({layer.b.data(), layer.gb.data(), layer.mb.data(),
-                        layer.vb.data(), layer.b.size()});
-    total += layer.w.size() + layer.b.size();
-  }
+  for (const Layer& layer : layers_) total += layer.w.size() + layer.b.size();
   const std::size_t parts = plannedParts(total, kAdamGrain, (total + 3) / 4);
   forkJoin(parts, [&](std::size_t p) {
     const std::size_t lo = splitPoint(total, parts, p, 4);
     const std::size_t hi = splitPoint(total, parts, p + 1, 4);
     std::size_t offset = 0;
-    for (const Segment& s : segments) {
+    // Updates the part's share of the next n elements of the run.
+    const auto segment = [&](double* w, double* g, double* m, double* v,
+                             std::size_t n) {
       const std::size_t a = std::max(lo, offset);
-      const std::size_t b = std::min(hi, offset + s.n);
+      const std::size_t b = std::min(hi, offset + n);
       if (a < b) {
         const std::size_t at = a - offset;
-        adamUpdate(s.w + at, s.g + at, s.m + at, s.v + at, b - a, lr,
-                   inv_batch, bc1, bc2, use_avx2);
+        adamUpdate(w + at, g + at, m + at, v + at, b - a, lr, inv_batch, bc1,
+                   bc2, use_avx2);
       }
-      offset += s.n;
+      offset += n;
+    };
+    for (Layer& layer : layers_) {
+      segment(layer.w.data(), layer.gw.data(), layer.mw.data(),
+              layer.vw.data(), layer.w.size());
+      segment(layer.b.data(), layer.gb.data(), layer.mb.data(),
+              layer.vb.data(), layer.b.size());
     }
   });
 }

@@ -17,8 +17,7 @@ namespace {
 /// to the environment steps between bursts.
 constexpr auto kHelperSpin = std::chrono::microseconds(50);
 
-/// How long the caller spins for claimed parts before it parks, and how
-/// long a helper keeps spinning while the caller is still inside a fork.
+/// How long the caller spins for its helpers' parts before it parks.
 /// Waking a parked thread costs about as much as the helper spin on a
 /// virtual machine (a halted vCPU needs an interrupt): a caller that parked
 /// whenever a part ran long came back after its helpers had parked too,
@@ -32,23 +31,15 @@ inline void cpuRelax() {
 #endif
 }
 
-/// Spins until \p ready() holds or \p limit has passed since \p hold()
-/// last held (but hold() extends the spin by at most kJoinSpin); returns
-/// ready().
-template <typename Ready, typename Hold>
-bool spinFor(std::chrono::microseconds limit, Ready ready, Hold hold) {
-  const auto start = std::chrono::steady_clock::now();
-  auto deadline = start + limit;
+/// Spins until \p ready() holds or \p limit has passed; returns ready().
+template <typename Ready>
+bool spinFor(std::chrono::microseconds limit, Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
   for (unsigned i = 1;; ++i) {
     if (ready()) return true;
     cpuRelax();
-    if (i % 64 == 0) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now < start + kJoinSpin && hold()) {
-        deadline = now + limit;
-      } else if (now > deadline) {
-        return ready();
-      }
+    if (i % 64 == 0 && std::chrono::steady_clock::now() > deadline) {
+      return ready();
     }
   }
 }
@@ -57,14 +48,15 @@ thread_local WorkerPool* g_current_pool = nullptr;
 
 }  // namespace
 
-/// One part's mailbox, on its own cache line so a spinning helper reads
+/// Helper p's mailbox, on its own cache line so a spinning helper reads
 /// nothing another thread writes between forks. go turns 1 when the caller
-/// signals a fork (or asks the helper to stop) and back to 0 when the
+/// hands the helper its part (or asks it to stop) and back to 0 when the
 /// helper takes the signal; parked says the helper sleeps on go and needs a
-/// notify. open says the part of the current fork is still unclaimed: its
-/// own helper normally claims it, but any thread that is done with its own
-/// part takes an open one, so a helper that wakes late (a descheduled vCPU)
-/// does not hold up the fork.
+/// notify. open says part p of the current fork has not started: whichever
+/// of the helper and the caller clears it runs the part. The caller sets
+/// open before go and the helper clears go before it tests open, so a
+/// helper that takes a late signal (the caller ran its part of an earlier
+/// fork) runs its part of the current fork or nothing.
 struct alignas(64) WorkerPool::Slot {
   std::atomic<std::uint32_t> go{0};
   std::atomic<bool> parked{false};
@@ -90,28 +82,17 @@ WorkerPool::~WorkerPool() {
 void WorkerPool::helperLoop(std::size_t part) {
   Slot& slot = slots_[part];
   for (;;) {
-    // The spin lasts while the caller is still inside a fork, so a caller
-    // that runs late finds its helpers spinning for the next one. Dekker
-    // pairing with runErased: parked is stored before go is read here and
-    // go before parked there (all seq_cst), so either this helper sees the
-    // signal or the caller sees it parked and notifies.
-    if (!spinFor(
-            kHelperSpin, [&] { return slot.go.load() != 0; },
-            [&] { return busy_.load(std::memory_order_relaxed); })) {
+    // Dekker pairing with runErased: parked is stored before go is read
+    // here and go before parked there (all seq_cst), so either this helper
+    // sees the signal or the caller sees it parked and notifies.
+    if (!spinFor(kHelperSpin, [&] { return slot.go.load() != 0; })) {
       slot.parked.store(true);
       while (slot.go.load() == 0) slot.go.wait(0);
       slot.parked.store(false);
     }
     slot.go.store(0);
     if (stop_) return;
-    // Its own part first, then any part a late helper has left open. The
-    // claim's acquire pairs with the caller's release of open, which
-    // follows its writes of fn_ and ctx_: a helper that took a stale
-    // signal claims parts of the current fork or nothing.
-    for (std::size_t i = 0; i + 1 < width_; ++i) {
-      const std::size_t p = (part - 1 + i) % (width_ - 1) + 1;
-      if (slots_[p].open.exchange(false)) runPart(p);
-    }
+    if (slot.open.exchange(false)) runPart(part);
   }
 }
 
@@ -152,13 +133,12 @@ void WorkerPool::runErased(std::size_t parts, PartFn fn, void* ctx) {
   } catch (...) {
     errors_[0] = std::current_exception();
   }
-  // Parts no helper has claimed yet run here.
+  // A part its helper has not started runs here: a helper whose vCPU is
+  // descheduled would otherwise hold up the whole fork.
   for (std::size_t p = 1; p < parts; ++p) {
     if (slots_[p].open.exchange(false)) runPart(p);
   }
-  if (!spinFor(
-          kJoinSpin, [&] { return pending_.load() == 0; },
-          [] { return false; })) {
+  if (!spinFor(kJoinSpin, [&] { return pending_.load() == 0; })) {
     caller_parked_.store(true);
     for (std::uint32_t left = pending_.load(); left != 0;
          left = pending_.load()) {

@@ -9,11 +9,11 @@
 /// scope keeps the serial path.
 ///
 /// Rules (DESIGN.md §12, "Learner pool"):
-///   - The calling thread runs part 0 itself; part p > 0 runs on helper p,
-///     so a part's slice of the data stays in one core's cache from call to
-///     call. A part its helper has not claimed by the time another thread
-///     is done with its own (the helper was parked, or its vCPU
-///     descheduled) runs on that thread instead.
+///   - The calling thread runs part 0 itself; part p > 0 is handed to
+///     helper p, so a part's slice of the data stays in one core's cache
+///     from call to call. Done with part 0, the caller runs every part
+///     whose helper has not started it yet (the helper was parked, or its
+///     vCPU descheduled), then waits for the parts in flight.
 ///   - Helpers spin for a few tens of microseconds after a part, which
 ///     covers the gap between the phases of an update and between the
 ///     updates of a burst, then park on std::atomic::wait.
@@ -48,9 +48,10 @@ class WorkerPool {
   bool busy() const { return busy_.load(std::memory_order_relaxed); }
 
   /// Runs body(p) for every part p in [0, parts), 1 <= parts <= width(),
-  /// each exactly once, and returns once all have finished. An exception a part throws is
-  /// rethrown here after the join; when several throw, the lowest part's
-  /// wins. Called on a busy pool, the parts run inline in part order.
+  /// each exactly once, and returns once all have finished. An exception a
+  /// part throws is rethrown here after the join; when several throw, the
+  /// lowest part's wins. Called on a busy pool, the parts run inline in
+  /// part order.
   template <typename F>
   void run(std::size_t parts, F&& body) {
     using Body = std::remove_reference_t<F>;

@@ -82,13 +82,15 @@ TEST_F(LearnerPoolTest, ScopesNestAndRestore) {
   EXPECT_EQ(seen_elsewhere, nullptr);
 }
 
-TEST_F(LearnerPoolTest, EveryPartRunsExactlyOnce) {
-  // Part 0 runs on the caller; a part p > 0 runs on its helper or, when
-  // that helper is late, on whichever thread is free first. Every part runs
-  // exactly once per fork, and a fork uses at most `parts` threads.
+TEST_F(LearnerPoolTest, EveryPartRunsOnceOnItsHelperOrTheCaller) {
+  // Part 0 runs on the caller; part p > 0 runs on helper p or, when that
+  // helper has not started it by the time the caller is done with part 0,
+  // on the caller. Every part runs exactly once per fork and never on
+  // another part's helper, so a part lands on the same helper in every fork
+  // its helper runs.
   ParallelScope scope(4);
   const std::thread::id caller = std::this_thread::get_id();
-  std::set<std::thread::id> all;
+  std::vector<std::thread::id> helper(4);
   for (int round = 0; round < 200; ++round) {
     const std::size_t parts = 1 + static_cast<std::size_t>(round) % 4;
     std::vector<std::atomic<int>> runs(parts);
@@ -100,12 +102,18 @@ TEST_F(LearnerPoolTest, EveryPartRunsExactlyOnce) {
     EXPECT_EQ(ids[0], caller) << "part 0 is the caller's";
     for (std::size_t p = 0; p < parts; ++p) {
       EXPECT_EQ(runs[p].load(), 1) << "part " << p << " of " << parts;
+      if (p == 0 || ids[p] == caller) continue;
+      if (helper[p] == std::thread::id()) helper[p] = ids[p];
+      EXPECT_EQ(ids[p], helper[p]) << "part " << p << " changed helpers";
     }
-    all.insert(ids.begin(), ids.end());
-    EXPECT_LE(std::set<std::thread::id>(ids.begin(), ids.end()).size(),
-              parts);
   }
-  EXPECT_LE(all.size(), 4u) << "more threads than the pool's width";
+  for (std::size_t p = 1; p < 4; ++p) {
+    for (std::size_t q = 1; q < p; ++q) {
+      if (helper[p] != std::thread::id()) {
+        EXPECT_NE(helper[p], helper[q]) << "parts " << q << " and " << p;
+      }
+    }
+  }
 }
 
 TEST_F(LearnerPoolTest, PartFatalErrorSurfacesOnTheCaller) {
