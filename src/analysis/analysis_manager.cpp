@@ -3,7 +3,6 @@
 #include <cstring>
 #include <utility>
 
-#include "analysis/def_use.h"
 #include "analysis/liveness.h"
 #include "analysis/reaching_defs.h"
 #include "analysis/value_range.h"
@@ -23,7 +22,6 @@ const char* analysisKindName(AnalysisKind kind) {
     case AnalysisKind::Loops: return "loops";
     case AnalysisKind::Liveness: return "liveness";
     case AnalysisKind::ReachingDefs: return "reaching-defs";
-    case AnalysisKind::DefUse: return "def-use";
     case AnalysisKind::ValueRanges: return "value-ranges";
   }
   return "unknown";
@@ -169,7 +167,6 @@ struct AnalysisManager::FuncEntry {
   std::unique_ptr<LoopInfo> loops;
   std::unique_ptr<LivenessInfo> liveness;
   std::unique_ptr<ReachingDefs> reaching;
-  std::unique_ptr<DefUseInfo> def_use;
   std::unique_ptr<ValueRanges> ranges;
 
   void clear() {
@@ -178,7 +175,6 @@ struct AnalysisManager::FuncEntry {
     dom.reset();
     liveness.reset();
     reaching.reset();
-    def_use.reset();
     ranges.reset();
   }
   /// Drops only the analyses that depend on instruction content. Dominators
@@ -187,11 +183,10 @@ struct AnalysisManager::FuncEntry {
   void clearInstructionLevel() {
     liveness.reset();
     reaching.reset();
-    def_use.reset();
     ranges.reset();
   }
   bool hasAny() const {
-    return dom || loops || liveness || reaching || def_use || ranges;
+    return dom || loops || liveness || reaching || ranges;
   }
 
   /// Module::irGeneration() the cached analyses were built against. A
@@ -280,17 +275,6 @@ const ReachingDefs& AnalysisManager::reachingDefs(Function& f) {
     e.reaching = std::make_unique<ReachingDefs>(f);
   }
   return *e.reaching;
-}
-
-const DefUseInfo& AnalysisManager::defUse(Function& f) {
-  FuncEntry& e = validated(f);
-  if (e.def_use) {
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
-    e.def_use = std::make_unique<DefUseInfo>(f);
-  }
-  return *e.def_use;
 }
 
 const ValueRanges& AnalysisManager::valueRanges(Function& f) {

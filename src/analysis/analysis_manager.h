@@ -3,7 +3,7 @@
 /// \file analysis_manager.h
 /// Cached dataflow-analysis framework. An AnalysisManager memoizes the
 /// per-function analyses (dominators, loop info, liveness, reaching
-/// definitions, def-use summary, integer value ranges) behind content-hash
+/// definitions, integer value ranges) behind content-hash
 /// validation: every query compares the function's fingerprint with the one
 /// the cached analyses were built at and rebuilds only when the IR actually
 /// changed. The fingerprint itself is memoized on the function's body
@@ -40,21 +40,19 @@ class Function;
 class Module;
 class LivenessInfo;
 class ReachingDefs;
-class DefUseInfo;
 class ValueRanges;
 
 /// The analyses the manager caches. CFG-level analyses (Dominators, Loops)
 /// depend only on the block graph; instruction-level analyses (Liveness,
-/// ReachingDefs, DefUse, ValueRanges) depend on every instruction.
+/// ReachingDefs, ValueRanges) depend on every instruction.
 enum class AnalysisKind : unsigned {
   Dominators = 0,
   Loops,
   Liveness,
   ReachingDefs,
-  DefUse,
   ValueRanges,
 };
-constexpr std::size_t kNumAnalysisKinds = 6;
+constexpr std::size_t kNumAnalysisKinds = 5;
 const char* analysisKindName(AnalysisKind kind);
 
 /// Set of analyses a pass promises to keep valid. The default for every
@@ -87,7 +85,6 @@ class PreservedAnalyses {
   bool preservesInstructionLevel() const {
     return preserves(AnalysisKind::Liveness) ||
            preserves(AnalysisKind::ReachingDefs) ||
-           preserves(AnalysisKind::DefUse) ||
            preserves(AnalysisKind::ValueRanges);
   }
 
@@ -187,7 +184,6 @@ class AnalysisManager {
   const LoopInfo& loopInfo(Function& f);
   const LivenessInfo& liveness(Function& f);
   const ReachingDefs& reachingDefs(Function& f);
-  const DefUseInfo& defUse(Function& f);
   const ValueRanges& valueRanges(Function& f);
 
   /// Validates \p f's entry exactly as a query does — analyses built at a

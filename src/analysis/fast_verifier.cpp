@@ -4,7 +4,6 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "analysis/def_use.h"
 #include "ir/basic_block.h"
 #include "ir/function.h"
 #include "ir/global_variable.h"
@@ -35,11 +34,26 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
 
   checkGlobalInits(m, result);
 
-  // Module-scoped use counts (functions, globals) accumulate across every
-  // function's cached def-use summary; function-local values are checked
-  // per function below.
-  thread_local std::unordered_map<const Value*, std::size_t> module_uses;
-  module_uses.clear();
+  // Module-scoped use counts (functions, globals), indexed by a module
+  // numbering in the scratch slot. The per-function walks below (the
+  // fingerprint, the dominator tree, the local numbering) stamp only
+  // arguments, blocks and instructions, so these ids survive the loop.
+  const std::uint64_t module_gen = Value::nextStampGeneration();
+  std::size_t num_symbols = 0;
+  for (const auto& g : m.globals())
+    g->stampFingerprintId(module_gen, num_symbols++);
+  for (const auto& fn : m.functions())
+    fn->stampFingerprintId(module_gen, num_symbols++);
+  thread_local std::vector<std::size_t> module_uses;
+  module_uses.assign(num_symbols, 0);
+  const auto countModuleRef = [&](const Value* v) {
+    if (v->fingerprintIdValid(module_gen)) ++module_uses[v->fingerprintId()];
+  };
+
+  // Operand use counts of the function being verified, indexed by its
+  // local numbering; reused across functions and calls.
+  thread_local std::vector<std::uint32_t> local_uses;
+  thread_local std::vector<const Value*> module_refs;
 
   for (const auto& fptr : m.functions()) {
     Function& f = *fptr;
@@ -54,41 +68,39 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
     const FunctionFingerprint fp = fingerprintFunction(f, &aux);
     am.validate(f);
     const std::uint64_t key = hashCombine(fp.instrs, aux);
-    if (auto it = clean_.find(&f); it != clean_.end() && it->second.key == key) {
+    auto cached = clean_.find(&f);
+    if (cached != clean_.end() && cached->second.key == key) {
       ++functions_skipped_;
-      for (const auto& [v, n] : it->second.module_refs) module_uses[v] += n;
+      // The body is unchanged since these refs were taken from its
+      // operands, so they are the symbols it still references.
+      for (const Value* v : cached->second.module_refs) countModuleRef(v);
       continue;
     }
 
-    const DefUseInfo& du = am.defUse(f);
-    std::vector<std::pair<const Value*, std::size_t>> module_refs;
-    for (const auto& [v, n] : du.operandCounts()) {
-      if (v->kind() == Value::Kind::Function ||
-          v->kind() == Value::Kind::GlobalVariable) {
-        module_uses[v] += n;
-        module_refs.emplace_back(v, n);
-      }
-    }
-
     // Dense ids through the shared Value scratch slot: blocks, then
-    // instructions, in layout order. An id answers "is this block one of
-    // f's own" and "which comes first in a block" with two member loads.
-    // Analysis queries may re-stamp the slot, so this runs after the
-    // def-use query and again after the dominator query below.
+    // arguments, then instructions, in layout order. An id answers "is
+    // this block one of f's own", "which comes first in a block" and
+    // "which use counter" with member loads. The dominator query may
+    // re-stamp the slot, so this runs again after it below.
     const std::size_t num_blocks = f.blocks().size();
+    std::size_t num_locals = 0;
     const auto numberLocals = [&] {
       const std::uint64_t gen = Value::nextStampGeneration();
       std::size_t id = 0;
       for (const auto& b : f.blocks()) b->stampFingerprintId(gen, id++);
+      for (const auto& a : f.args()) a->stampFingerprintId(gen, id++);
       for (const auto& b : f.blocks())
         for (const auto& inst : b->insts()) inst->stampFingerprintId(gen, id++);
+      num_locals = id;
       return gen;
     };
     std::uint64_t gen = numberLocals();
+    local_uses.assign(num_locals, 0);
     const auto isOwnBlock = [&](const Value* v) {
       return v != nullptr && v->fingerprintIdValid(gen) &&
              v->fingerprintId() < num_blocks;
     };
+    module_refs.clear();
 
     const std::size_t errors_before = result.errors.size();
 
@@ -124,6 +136,17 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
         for (std::size_t s = 0; s < inst->numSuccessors(); ++s)
           if (!isOwnBlock(inst->successor(s)))
             error(result, f, "branch to block of another function");
+        // Operand use counts: a local value counts by its id, a function
+        // or global is recorded as a module ref, and anything else
+        // (constants, values of another function) counts nowhere.
+        for (const Value* op : inst->operands()) {
+          if (op->fingerprintIdValid(gen)) {
+            ++local_uses[op->fingerprintId()];
+          } else if (op->fingerprintIdValid(module_gen)) {
+            countModuleRef(op);
+            module_refs.push_back(op);
+          }
+        }
         checkInstructionTypes(&f, *inst, result);
         ++idx;
       }
@@ -157,7 +180,7 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
     // --- use-list integrity for function-local values (the message is
     // built only on a mismatch) ---
     const auto checkUses = [&](const Value* v, const char* what) {
-      const std::size_t expected = du.operandUses(v);
+      const std::size_t expected = local_uses[v->fingerprintId()];
       if (v->numUses() != expected)
         error(result, f,
               "use-list size mismatch for " + (what + v->name()) + " (" +
@@ -211,17 +234,21 @@ VerifyResult FastVerifier::verify(Module& m, AnalysisManager& am) {
       }
     }
 
-    if (result.errors.size() == errors_before)
-      clean_[&f] = {key, std::move(module_refs)};
-    else
-      clean_.erase(&f);
+    if (result.errors.size() == errors_before) {
+      if (cached == clean_.end()) cached = clean_.try_emplace(&f).first;
+      cached->second.key = key;
+      cached->second.module_refs.assign(module_refs.begin(), module_refs.end());
+    } else if (cached != clean_.end()) {
+      clean_.erase(cached);
+    }
   }
 
+  std::size_t symbol = 0;
   for (const auto& g : m.globals())
-    if (g->numUses() != module_uses[g.get()])
+    if (g->numUses() != module_uses[symbol++])
       result.errors.push_back("use-list size mismatch for @" + g->name());
   for (const auto& fn : m.functions())
-    if (fn->numUses() != module_uses[fn.get()])
+    if (fn->numUses() != module_uses[symbol++])
       result.errors.push_back("use-list size mismatch for @" + fn->name());
 
   return result;

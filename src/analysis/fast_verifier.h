@@ -12,13 +12,22 @@
 ///     function). The hash comes from fingerprintFunction's memo, so a
 ///     function nothing has written since its last walk is skipped in O(1):
 ///     no walk at all;
-///   - a re-verified function is numbered densely (blocks, then
-///     instructions, in layout order) through the shared Value scratch slot
-///     (Value::nextStampGeneration), so block membership ("branch to block
-///     of another function") and in-block order ("use before def") are
-///     member loads instead of per-pass hash sets and maps; phi incoming
-///     blocks are matched by a linear scan; use-list messages are built
-///     only on a mismatch;
+///   - a re-verified function is numbered densely (blocks, then arguments,
+///     then instructions, in layout order) through the shared Value scratch
+///     slot (Value::nextStampGeneration), so block membership ("branch to
+///     block of another function") and in-block order ("use before def")
+///     are member loads instead of per-pass hash sets and maps; phi
+///     incoming blocks are matched by a linear scan;
+///   - use-list integrity compares each argument's, block's and
+///     instruction's use list with the operand slots of its own function,
+///     counted in the structural walk into a flat thread-local array
+///     indexed by that numbering (an operand of another function's value
+///     has no current id and counts nowhere). Functions and globals are
+///     numbered per call and counted in a second flat array; each function
+///     keeps the symbols it references in its skip-cache entry, so a
+///     skipped function still contributes them. The steady state allocates
+///     nothing per verified function; use-list messages are built only on
+///     a mismatch;
 ///   - SSA dominance uses the AnalysisManager's cached dominator tree, and
 ///     only runs when the structural checks (terminators, phi placement,
 ///     parents, types, use lists) came back clean — the tree construction
@@ -31,7 +40,6 @@
 
 #include <cstddef>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "analysis/analysis_manager.h"
@@ -43,8 +51,10 @@ class Module;
 class Value;
 
 /// Stateful fast verifier. Keep one instance alive across passes/steps so
-/// the clean-hash skip cache pays off; it holds no pointers into the IR
-/// that it dereferences without revalidation, so module swaps are safe.
+/// the clean-hash skip cache pays off. The only IR pointers it reads from
+/// the cache are a skipped function's recorded symbol references, and only
+/// while that function's skip key still matches, i.e. while its unchanged
+/// body still holds them; module replacement needs clearCache().
 class FastVerifier {
  public:
   /// Verifies \p m, pulling cached analyses from \p am.
@@ -64,20 +74,21 @@ class FastVerifier {
   /// Drops the clean-hash skip cache. Owners sharing one verifier across
   /// sequences must call this whenever the module object is replaced
   /// (reset, sandbox rollback): the cache is keyed by Function pointers,
-  /// and a recycled address could otherwise replay a stale module-use
-  /// contribution.
+  /// and a recycled address could otherwise replay the symbol references
+  /// of a function that no longer exists.
   void clearCache() { clean_.clear(); }
 
  private:
   /// State of the last *clean* verification per function. The key includes
   /// a use-count/name-presence hash on top of the structural fingerprint
   /// because the fingerprint deliberately ignores both but the verifier
-  /// checks them. module_refs caches the function's contribution to the
-  /// module-wide use-count check so a skipped function costs no def-use
-  /// query at all.
+  /// checks them. module_refs lists the functions and globals the body's
+  /// operands reference, one entry per operand slot: the function's
+  /// contribution to the module-wide use-count check, so a skipped function
+  /// costs no walk at all.
   struct CleanEntry {
     std::uint64_t key = 0;
-    std::vector<std::pair<const Value*, std::size_t>> module_refs;
+    std::vector<const Value*> module_refs;
   };
   std::unordered_map<const Function*, CleanEntry> clean_;
   std::size_t instructions_checked_ = 0;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "analysis/analysis_manager.h"
-#include "analysis/def_use.h"
 #include "analysis/liveness.h"
 #include "analysis/loop_info.h"
 #include "analysis/reaching_defs.h"
@@ -82,6 +81,7 @@ std::vector<double> extractStaticFeatures(Module& m, AnalysisManager& am) {
     raw[0] += 1;
     raw[11] += static_cast<double>(f.numArgs());
 
+    std::size_t defs = 0, use_total = 0;
     for (const auto& b : f.blocks()) {
       raw[1] += 1;
       const auto succs = b->successors();
@@ -122,6 +122,15 @@ std::vector<double> extractStaticFeatures(Module& m, AnalysisManager& am) {
         }
         for (const Value* op : inst->operands())
           if (isa<ConstantInt>(op)) raw[27] += 1;
+        // Def-use shape from the use lists, which the verifier holds equal
+        // to the operand counts.
+        if (!inst->type()->isVoid()) {
+          ++defs;
+          const std::size_t uses = inst->numUses();
+          use_total += uses;
+          if (uses == 0) raw[34] += 1;
+          if (uses == 1) raw[35] += 1;
+        }
       }
     }
 
@@ -141,11 +150,13 @@ std::vector<double> extractStaticFeatures(Module& m, AnalysisManager& am) {
     live_in_weighted += lv.avgLiveIn() * static_cast<double>(f.numBlocks());
     block_total += static_cast<double>(f.numBlocks());
 
-    const DefUseInfo& du = am.defUse(f);
-    raw[34] += static_cast<double>(du.deadDefs());
-    raw[35] += static_cast<double>(du.singleUseDefs());
-    uses_weighted += du.avgUsesPerDef() * static_cast<double>(du.defCount());
-    def_total += static_cast<double>(du.defCount());
+    // The per-function mean is weighted back by the def count, so the
+    // module mean rounds exactly as a per-function summary would.
+    const double avg_uses = defs == 0 ? 0.0
+                                      : static_cast<double>(use_total) /
+                                            static_cast<double>(defs);
+    uses_weighted += avg_uses * static_cast<double>(defs);
+    def_total += static_cast<double>(defs);
 
     const ReachingDefs& rd = am.reachingDefs(f);
     raw[37] += static_cast<double>(rd.singleReachingLoads());

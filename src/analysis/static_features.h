@@ -3,8 +3,10 @@
 /// \file static_features.h
 /// AutoPhase-style static feature vector: 40 cheap counts/ratios summarizing
 /// a module's IR, backed by the cached analyses of an AnalysisManager
-/// (liveness pressure, loop structure, def-use shape, reaching stores,
-/// value-range tightness). Serves as an alternative observation space for
+/// (liveness pressure, loop structure, reaching stores, value-range
+/// tightness). The def-use shape (dead and single-use defs, mean uses per
+/// def) reads the IR's use lists, which the fast verifier holds equal to
+/// the operand counts. Serves as an alternative observation space for
 /// PhaseOrderEnv next to the IR2Vec-like flow embedding: 40 dims instead of
 /// 300, no flow iterations, and fully incremental across untouched
 /// functions.

@@ -155,8 +155,11 @@ class PhaseOrderEnv {
   // --- metrics of the working module ---
   double currentSize() const;
   double currentThroughput() const;
+  /// McaModel frequency-weighted cycles of the working module.
+  double currentCycles() const { return last_cycles_; }
   /// Metrics of the unoptimized program (reward denominators, Eqns 2–3).
   double baseSize() const { return base_size_; }
+  double baseCycles() const { return base_cycles_; }
   double baseThroughput() const { return base_throughput_; }
   /// The working module (e.g. to measure or print after a rollout).
   Module& workingModule();

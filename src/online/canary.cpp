@@ -8,6 +8,7 @@
 #include "ir/clone.h"
 #include "ir/module.h"
 #include "online/snapshot.h"
+#include "target/mca_model.h"
 #include "target/size_model.h"
 #include "target/target_info.h"
 
@@ -23,6 +24,7 @@ CanaryRollout canaryRollout(const Mlp& net, const Module& program,
   CanaryRollout out;
   out.base_size = rollout_env.baseSize();
   out.best_size = out.base_size;
+  out.best_cycles = rollout_env.baseCycles();
   for (int step = 0; step < cfg.episode_length; ++step) {
     const std::vector<bool>& mask = rollout_env.actionMask();
     if (std::all_of(mask.begin(), mask.end(), [](bool b) { return b; })) {
@@ -32,7 +34,10 @@ CanaryRollout canaryRollout(const Mlp& net, const Module& program,
     const PhaseOrderEnv::StepResult sr = rollout_env.step(action);
     state = sr.state;
     if (sr.faulted) ++out.faults;
-    out.best_size = std::min(out.best_size, rollout_env.currentSize());
+    if (rollout_env.currentSize() < out.best_size) {
+      out.best_size = rollout_env.currentSize();
+      out.best_cycles = rollout_env.currentCycles();
+    }
     if (sr.done) break;
   }
   return out;
@@ -40,17 +45,24 @@ CanaryRollout canaryRollout(const Mlp& net, const Module& program,
 
 namespace {
 
-/// Modeled size of \p program after a sandboxed stock -Oz run; negative when
-/// the -Oz pipeline itself faulted (the module is then excluded from the
-/// floor comparison — matching the serving ladder, which also skips the -Oz
-/// rung when it faults). Same sandbox switches as the serving ladder's rung.
-double sandboxedOzSize(const Module& program, const EnvConfig& env,
-                       const SizeModel& size_model) {
+struct OzMetrics {
+  double size = -1.0;
+  double cycles = 0.0;
+};
+
+/// Modeled size and cycles of \p program after a sandboxed stock -Oz run;
+/// size is negative when the -Oz pipeline itself faulted (the module is then
+/// excluded from the floor comparison — matching the serving ladder, which
+/// also skips the -Oz rung when it faults). Same sandbox switches as the
+/// serving ladder's rung.
+OzMetrics sandboxedOz(const Module& program, const EnvConfig& env,
+                      const SizeModel& size_model, const McaModel& mca_model) {
   std::unique_ptr<Module> oz = cloneModule(program);
   const SandboxOutcome out =
       runActionSandboxed(oz, ozPassNames(), sandboxConfigFor(env));
-  if (!out.ok) return -1.0;
-  return size_model.objectBytes(*oz);
+  if (!out.ok) return {};
+  return {size_model.objectBytes(*oz),
+          mca_model.moduleEstimate(*oz).weighted_cycles};
 }
 
 }  // namespace
@@ -63,6 +75,7 @@ CanaryReport runCanary(const Mlp& candidate, const Mlp& incumbent,
   const auto t0 = std::chrono::steady_clock::now();
   CanaryReport report;
   const SizeModel size_model(TargetInfo::forArch(env.arch));
+  const McaModel mca_model(TargetInfo::forArch(env.arch));
 
   std::vector<const Module*> modules;
   for (const Module* m : holdout) {
@@ -90,10 +103,19 @@ CanaryReport runCanary(const Mlp& candidate, const Mlp& incumbent,
     report.incumbent_faults += inc.faults;
     cand_ratio_sum += cand.best_size / cand.base_size;
     inc_ratio_sum += inc.best_size / inc.base_size;
-    const double oz_size = sandboxedOzSize(*m, env, size_model);
-    if (oz_size >= 0.0) {
-      oz_ratio_sum += oz_size / cand.base_size;
+    const OzMetrics oz = sandboxedOz(*m, env, size_model, mca_model);
+    if (oz.size >= 0.0) {
+      oz_ratio_sum += oz.size / cand.base_size;
       ++report.oz_completed;
+      // The ladder serves the rollout unless -Oz is strictly smaller.
+      if (cand.best_size <= oz.size && oz.cycles > 0.0) {
+        const double cycles_ratio = cand.best_cycles / oz.cycles;
+        if (cycles_ratio > 1.0 + config.oz_tolerance) {
+          ++report.slower_than_oz;
+          report.worst_oz_cycles_ratio =
+              std::max(report.worst_oz_cycles_ratio, cycles_ratio);
+        }
+      }
     }
   }
   const double n = static_cast<double>(modules.size());
@@ -118,6 +140,14 @@ CanaryReport runCanary(const Mlp& candidate, const Mlp& incumbent,
           report.oz_ratio * (1.0 + config.oz_tolerance)) {
     why << "candidate mean ratio " << report.candidate_ratio
         << " misses the -Oz floor " << report.oz_ratio << " (tolerance "
+        << config.oz_tolerance << ")";
+    report.reason = why.str();
+    return report;
+  }
+  if (report.slower_than_oz > 0) {
+    why << "candidate is slower than -Oz on " << report.slower_than_oz
+        << " module(s) it would be served on (worst cycles ratio "
+        << report.worst_oz_cycles_ratio << ", tolerance "
         << config.oz_tolerance << ")";
     report.reason = why.str();
     return report;

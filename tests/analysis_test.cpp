@@ -13,9 +13,9 @@
 #include "analysis/block_frequency.h"
 #include "analysis/call_graph.h"
 #include "analysis/cfg.h"
-#include "analysis/def_use.h"
 #include "analysis/dominators.h"
 #include "analysis/fast_verifier.h"
+#include "analysis/liveness.h"
 #include "analysis/loop_info.h"
 #include "core/environment.h"
 #include "core/oz_sequence.h"
@@ -697,7 +697,7 @@ TEST(BodyGenerationTest, ReadOnlyWalksBumpNothing) {
     (void)fingerprintFunction(*f, &aux);
     if (f->isDeclaration()) continue;
     (void)am.loopInfo(*f);
-    (void)am.defUse(*f);
+    (void)am.liveness(*f);
   }
   for (const auto& f : c.m->functions())
     EXPECT_EQ(f->bodyGeneration(), before[f.get()]) << "@" << f->name();

@@ -1,5 +1,5 @@
 // Tests for the dataflow-analysis framework: the new analyses (liveness,
-// reaching defs, def-use, value ranges), the hash-validated AnalysisManager
+// reaching defs, value ranges), the hash-validated AnalysisManager
 // cache (including cache hits from passes routed through the ambient
 // manager), the pass-contract checker's static miscompile attribution, the
 // fast per-pass verifier, the static feature extractor as an environment
@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/analysis_manager.h"
-#include "analysis/def_use.h"
 #include "analysis/fast_verifier.h"
 #include "analysis/liveness.h"
 #include "analysis/reaching_defs.h"
@@ -34,6 +38,7 @@
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "lint/instrumentation.h"
+#include "pass_soup.h"
 #include "passes/pass.h"
 #include "workloads/generator.h"
 
@@ -149,36 +154,6 @@ block j:
   // Pointer bases trace through to the allocas.
   const Instruction* alloca_p = firstOpcode(f, Opcode::Alloca);
   EXPECT_EQ(ReachingDefs::baseObject(load_p->operand(0)), alloca_p);
-}
-
-// --- def-use summary --------------------------------------------------------
-
-TEST(DefUseTest, OperandCountsAndAggregates) {
-  auto m = parseOrDie(R"(
-module "du"
-define @f : fn() -> i64 internal {
-block e:
-  %x : i64 = add i64 1, i64 2
-  %dead : i64 = add i64 3, i64 4
-  %y : i64 = add %x, %x
-  ret %y
-}
-)");
-  Function& f = *m->getFunction("f");
-  DefUseInfo du(f);
-
-  BasicBlock* e = blockByName(f, "e");
-  const Value* x = e->insts().begin()->get();
-  const Value* dead = std::next(e->insts().begin())->get();
-  const Value* y = std::next(e->insts().begin(), 2)->get();
-
-  EXPECT_EQ(du.operandUses(x), 2u);
-  EXPECT_EQ(du.operandUses(dead), 0u);
-  EXPECT_EQ(du.operandUses(y), 1u);
-  EXPECT_EQ(du.defCount(), 3u);
-  EXPECT_EQ(du.deadDefs(), 1u);
-  EXPECT_EQ(du.singleUseDefs(), 1u);
-  EXPECT_EQ(du.maxUses(), 2u);
 }
 
 // --- value ranges -----------------------------------------------------------
@@ -414,6 +389,153 @@ block e:
   EXPECT_EQ(fv.functionsSkipped(), 3u);
 }
 
+// --- verifier use counts ----------------------------------------------------
+
+// @f numbers arguments, branch-only and phi-operand labels, instructions and
+// a value used only from an unreachable block; @gv and @callee are used only
+// from @g, which the skip cache skips once it has verified clean.
+constexpr const char* kUseCountModule = R"(
+module "uc"
+global @gv : i64 = int 5, internal
+define @callee : fn(i64) -> i64 internal {
+block e:
+  ret %arg0
+}
+define @f : fn(i64, i1) -> i64 internal {
+block e:
+  %x : i64 = add %arg0, i64 1
+  %y : i64 = add %arg0, i64 2
+  condbr %arg1, label a, label b
+block a:
+  br label j
+block b:
+  br label j
+block j:
+  %p : i64 = phi [ %x, a ], [ i64 0, b ]
+  ret %p
+block dead:
+  %d : i64 = add %y, %x
+  ret %d
+}
+define @g : fn() -> i64 internal {
+block e:
+  %v : i64 = load @gv
+  %c : i64 = call @callee(%v)
+  ret %c
+}
+)";
+
+/// A named argument, block or instruction of \p f.
+Value* localValue(Function& f, const std::string& name) {
+  for (const auto& a : f.args())
+    if (a->name() == name) return a.get();
+  for (const auto& b : f.blocks()) {
+    if (b->name() == name) return b.get();
+    for (const auto& inst : b->insts())
+      if (inst->name() == name) return inst.get();
+  }
+  return nullptr;
+}
+
+bool hasError(const VerifyResult& vr, const std::string& msg) {
+  return std::find(vr.errors.begin(), vr.errors.end(), msg) != vr.errors.end();
+}
+
+std::string joinErrors(const VerifyResult& vr) {
+  std::string out;
+  for (const std::string& e : vr.errors) out += e + "; ";
+  return out;
+}
+
+TEST(FastVerifierTest, UseListDriftIsFlaggedForEveryCountedValue) {
+  struct Row {
+    const char* what;
+    const char* function;  // nullptr: a module symbol
+    const char* value;
+  };
+  const Row rows[] = {
+      {"argument", "f", "arg0"},
+      {"branch-only label", "f", "j"},
+      {"branch and phi-operand label", "f", "a"},
+      {"instruction", "f", "x"},
+      {"value used only from an unreachable block", "f", "y"},
+      {"global used only from a skipped function", nullptr, "gv"},
+      {"function used only from a skipped function", nullptr, "callee"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    auto m = parseOrDie(kUseCountModule);
+    Value* v = nullptr;
+    std::string expected;
+    if (row.function != nullptr) {
+      v = localValue(*m->getFunction(row.function), row.value);
+      expected = std::string("in @") + row.function +
+                 ": use-list size mismatch for " +
+                 (isa<BasicBlock>(v) ? "label " : "%") + row.value;
+    } else {
+      v = m->getGlobal(row.value);
+      if (v == nullptr) v = m->getFunction(row.value);
+      expected = std::string("use-list size mismatch for @") + row.value;
+    }
+    ASSERT_NE(v, nullptr);
+
+    AnalysisManager am;
+    FastVerifier fv;
+    ASSERT_TRUE(fv.verify(*m, am).ok());
+    const VerifyResult warm = fv.verify(*m, am);
+    ASSERT_TRUE(warm.ok()) << joinErrors(warm);
+    ASSERT_EQ(fv.functionsSkipped(), 3u);
+
+    // A detached phi bound to the value: its use list gains an entry that
+    // no operand slot in the module accounts for.
+    auto phantom =
+        Instruction::create({.opcode = Opcode::Phi, .type = v->type()}, "", 1);
+    phantom->bindOperand(0, v);
+    if (row.function != nullptr)
+      expected += " (" + std::to_string(v->numUses()) + " recorded vs " +
+                  std::to_string(v->numUses() - 1) + " actual)";
+
+    const VerifyResult vr = fv.verify(*m, am);
+    EXPECT_TRUE(hasError(vr, expected)) << expected << " not in "
+                                        << joinErrors(vr);
+    EXPECT_EQ(vr.errors.size(), 1u) << joinErrors(vr);
+    // A symbol's drift changes no body, so every function is skipped and
+    // the count comes from the cached references; a local value's drift
+    // re-verifies its own function only.
+    EXPECT_EQ(fv.functionsSkipped(), row.function == nullptr ? 6u : 5u);
+    EXPECT_TRUE(hasError(verifyModule(*m), expected));
+  }
+}
+
+TEST(FastVerifierTest, ForeignOperandIsNotALocalUse) {
+  auto m = parseOrDie(kUseCountModule);
+  Function& f = *m->getFunction("f");
+  Function& g = *m->getFunction("g");
+  // @f's entry gains an add of @g's %v. %v's id in @g's numbering (1) is
+  // also an id of @f's (the label a), so a count by id alone would land
+  // on the wrong value.
+  Value* v = localValue(g, "v");
+  auto* copy = f.entry()->insertBefore(
+      f.entry()->terminator(),
+      std::make_unique<BinaryInst>(Opcode::Add, v->type(), v, v,
+                                   f.nextValueName()));
+  AnalysisManager am;
+  FastVerifier fv;
+  const VerifyResult vr = fv.verify(*m, am);
+  // The foreign uses count for neither function's own values: @g sees %v
+  // with two more recorded users than its operands account for, and @f
+  // reports the foreign operand, with no use-list error of its own.
+  EXPECT_TRUE(hasError(vr, "in @g: use-list size mismatch for %v (3 recorded "
+                           "vs 1 actual)"))
+      << joinErrors(vr);
+  EXPECT_TRUE(hasError(vr, "in @f: operand from another function"))
+      << joinErrors(vr);
+  for (const std::string& e : vr.errors)
+    EXPECT_EQ(e.find("in @f: use-list"), std::string::npos) << e;
+  copy->eraseFromParent();
+  EXPECT_TRUE(fv.verify(*m, am).ok());
+}
+
 TEST(FastVerifierTest, SandboxAttributesBreakerPass) {
   class BreakerPass : public Pass {
    public:
@@ -470,6 +592,70 @@ TEST(StaticFeaturesTest, FixedDimensionDeterministicAndNamed) {
   runPassSequence(*m, ozPassNames());
   const std::vector<double> v3 = extractStaticFeatures(*m, am);
   EXPECT_NE(v1, v3);
+}
+
+// The def-use components (dead defs, single-use defs, mean uses per def)
+// as a per-function operand-count summary aggregated them before the
+// extractor read use lists: counts keyed by operand, then weighted back.
+std::array<double, 3> operandCountDefUseFeatures(const Module& m) {
+  double dead = 0.0, single = 0.0, uses_weighted = 0.0, def_total = 0.0;
+  for (const auto& f : m.functions()) {
+    if (f->isDeclaration()) continue;
+    std::unordered_map<const Value*, std::size_t> counts;
+    for (const auto& b : f->blocks())
+      for (const auto& inst : b->insts())
+        for (const Value* op : inst->operands()) ++counts[op];
+    std::size_t defs = 0, dead_defs = 0, single_use = 0, use_total = 0;
+    for (const auto& b : f->blocks()) {
+      for (const auto& inst : b->insts()) {
+        if (inst->type()->isVoid()) continue;
+        ++defs;
+        const auto it = counts.find(inst.get());
+        const std::size_t uses = it == counts.end() ? 0 : it->second;
+        use_total += uses;
+        if (uses == 0) ++dead_defs;
+        if (uses == 1) ++single_use;
+      }
+    }
+    const double avg = defs == 0 ? 0.0
+                                 : static_cast<double>(use_total) /
+                                       static_cast<double>(defs);
+    dead += static_cast<double>(dead_defs);
+    single += static_cast<double>(single_use);
+    uses_weighted += avg * static_cast<double>(defs);
+    def_total += static_cast<double>(defs);
+  }
+  const double mean = def_total == 0.0 ? 0.0 : uses_weighted / def_total;
+  return {std::log1p(dead), std::log1p(single), std::log1p(mean)};
+}
+
+void expectDefUseFeaturesMatch(Module& m, const std::string& what) {
+  ASSERT_TRUE(verifyModule(m).ok()) << what;
+  AnalysisManager am;
+  const std::vector<double> got = extractStaticFeatures(m, am);
+  const std::array<double, 3> want = operandCountDefUseFeatures(m);
+  for (std::size_t k = 0; k < want.size(); ++k)
+    EXPECT_EQ(std::memcmp(&got[34 + k], &want[k], sizeof(double)), 0)
+        << what << " " << staticFeatureName(34 + k) << ": " << got[34 + k]
+        << " vs " << want[k];
+}
+
+TEST(StaticFeaturesTest, DefUseComponentsMatchOperandCountsByteForByte) {
+  const auto names = fuzzablePassNames();
+  Rng rng(0xdef05e);
+  for (std::size_t j = 0; j < 28; ++j) {
+    // The spec of e2ebench's compile request pool (RequestStream::poolSpec
+    // in e2ebench/common.cpp), one program per size class twice over.
+    ProgramSpec spec;
+    spec.name = "req" + std::to_string(j);
+    spec.seed = Rng::forStream(0x4e0e57, j).next();
+    spec.kernels = 2 + static_cast<int>(j % 14);
+    auto m = generateProgram(spec);
+    expectDefUseFeaturesMatch(*m, spec.name);
+    const std::vector<std::string> soup = randomSoup(names, rng, 12);
+    runPassSequence(*m, soup);
+    expectDefUseFeaturesMatch(*m, spec.name + " after a pass soup");
+  }
 }
 
 TEST(StaticFeaturesTest, TrainsEndToEndAsObservationSpace) {

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/oz_sequence.h"
 #include "core/trainer.h"
 #include "faults/injection.h"
 #include "ir/basic_block.h"
@@ -574,6 +575,106 @@ TEST_F(CanaryTest, RejectsFaultingCandidateOnFaultBudget) {
   EXPECT_FALSE(report.accepted);
   EXPECT_GT(report.candidate_faults, 0u);
   EXPECT_NE(report.reason.find("fault budget"), std::string::npos)
+      << report.reason;
+}
+
+namespace {
+
+/// Same semantics, same x86 encoding size, more modeled cycles: rewrites
+/// `shl %x, C` as `mul %x, 2^C`.
+class ShlToMulPass : public Pass {
+ public:
+  std::string_view name() const override { return "test-shl-to-mul"; }
+  bool run(Module& module) override {
+    bool changed = false;
+    for (const auto& f : module.functions()) {
+      for (const auto& bb : f->blocks()) {
+        std::vector<Instruction*> shifts;
+        for (const auto& inst : bb->insts())
+          if (inst->opcode() == Opcode::Shl &&
+              isa<ConstantInt>(inst->operand(1)))
+            shifts.push_back(inst.get());
+        for (Instruction* shl : shifts) {
+          const auto amount = cast<ConstantInt>(shl->operand(1))->value();
+          Value* factor =
+              module.constantInt(shl->type(), std::int64_t{1} << amount);
+          Instruction* mul = bb->insertBefore(
+              shl, std::make_unique<BinaryInst>(Opcode::Mul, shl->type(),
+                                                shl->operand(0), factor,
+                                                shl->name() + ".mul"));
+          shl->replaceAllUsesWith(mul);
+          shl->eraseFromParent();
+          changed = true;
+        }
+      }
+    }
+    return changed;
+  }
+};
+
+}  // namespace
+
+TEST_F(CanaryTest, RejectsSmallerButSlowerCandidate) {
+  registerPass("test-shl-to-mul",
+               [] { return std::make_unique<ShlToMulPass>(); });
+  // -Oz drops %dead and keeps the shift in the loop.
+  auto program = parseModule(R"(
+module "shl_loop"
+declare @pr.sink : fn(i64) -> void intrinsic sink
+define @main : fn(i64) -> i64 external {
+block entry:
+  %dead : i64 = add %arg0, i64 7
+  br label loop
+block loop:
+  %i : i64 = phi [ i64 0, entry ], [ %inext, loop ]
+  %acc : i64 = phi [ i64 0, entry ], [ %accnext, loop ]
+  %x : i64 = xor %acc, %i
+  %s : i64 = shl %x, i64 3
+  %accnext : i64 = add %s, %arg0
+  %inext : i64 = add %i, i64 1
+  %done : i1 = icmp sge %inext, %arg0
+  condbr %done, label exit, label loop
+block exit:
+  call @pr.sink(%accnext)
+  ret %accnext
+}
+)");
+  // Action 0 is the -Oz pipeline itself; action 1 is -Oz followed by the
+  // shift-to-multiply rewrite: exactly -Oz's size, strictly slower.
+  std::vector<SubSequence> actions = {{1, ozPassNames()},
+                                      {2, ozPassNames()}};
+  actions[1].passes.push_back("test-shl-to-mul");
+  DqnConfig cfg = cfg_;
+  cfg.num_actions = actions.size();
+  DoubleDqn agent(cfg);
+  const auto pinned = [&](std::size_t action) {
+    Mlp net = agent.onlineNet();
+    std::vector<double> q(actions.size(), 0.0);
+    q[action] = 1e6;
+    net.setConstantOutput(q);
+    return net;
+  };
+  const Mlp as_oz = pinned(0);
+  const Mlp slower = pinned(1);
+
+  const CanaryRollout rollout = canaryRollout(slower, *program, actions, env_);
+  ASSERT_LT(rollout.best_size, rollout.base_size);
+
+  CanaryConfig gate;  // default tolerances
+  gate.max_faults = 0;
+  const CanaryReport same = runCanary(as_oz, as_oz, {program.get()}, {},
+                                      actions, env_, gate);
+  EXPECT_TRUE(same.accepted) << same.reason;
+  EXPECT_EQ(same.slower_than_oz, 0u);
+
+  const CanaryReport report = runCanary(slower, as_oz, {program.get()}, {},
+                                        actions, env_, gate);
+  EXPECT_FALSE(report.accepted);
+  // It passes the size floor: only the cycles check stops it.
+  EXPECT_LE(report.candidate_ratio, report.oz_ratio);
+  EXPECT_EQ(report.slower_than_oz, 1u);
+  EXPECT_GT(report.worst_oz_cycles_ratio, 1.0 + gate.oz_tolerance);
+  EXPECT_NE(report.reason.find("slower than -Oz"), std::string::npos)
       << report.reason;
 }
 

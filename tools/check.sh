@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Full correctness gate: configure, build, run the test suite, lint every
-# example MiniIR module under instrumentation, smoke-test the fault
-# containment and serving layers, then build the end-to-end benchmark
-# (e2ebench/, in <build-dir>-e2e) and run its smoke tests. Mirrors what CI
-# would run; exits non-zero if any stage fails.
+# Full correctness gate: configure, build, run the test suite, check the
+# identity digests, lint every example MiniIR module under instrumentation,
+# smoke-test the fault containment and serving layers, then build the
+# end-to-end benchmark (e2ebench/, in <build-dir>-e2e) and run its smoke
+# tests. Mirrors what CI would run; exits non-zero if any stage fails.
 #
 # Usage: tools/check.sh [--tsan] [--asan] [--ubsan] [--tidy] [--bench]
 #                       [--chaos] [build-dir]      (default build dir: build)
@@ -83,9 +83,22 @@ cmake --build "$BUILD" -j"$(nproc)"
 echo "== test =="
 ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 
+status=0
+
+echo "== identity digests =="
+# Byte-identity of what the program produces: the sandboxed -Oz rung's
+# printed output over e2ebench's request and serve pools, and a fresh-process
+# 4000-step reference training run (episode rewards and saved model). A
+# change that moves a digest must say so in CHANGES.md and update the file.
+if "$BUILD/bench/identity_digest" --check "$ROOT/bench/identity_digests.txt"; then
+  echo "ok   identity digests match bench/identity_digests.txt"
+else
+  echo "FAIL identity digests: output differs from bench/identity_digests.txt"
+  status=1
+fi
+
 echo "== lint examples =="
 OPT="$BUILD/examples/opt_driver"
-status=0
 for mir in "$ROOT"/examples/*.mir; do
   name="$(basename "$mir")"
   # lint_demo.mir deliberately contains lint errors to demo the checkers;
