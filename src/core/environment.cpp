@@ -2,8 +2,6 @@
 
 #include "ir/clone.h"
 #include "ir/module.h"
-#include "lint/instrumentation.h"
-#include "passes/pass.h"
 #include "support/error.h"
 
 namespace posetrl {
@@ -119,10 +117,9 @@ PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
   // functions the applied passes did not touch.
   AnalysisScope analysis_scope(analysis_);
 
-  if (knownNoop(index)) {
-    // Memo hit: the action is a proven no-op on exactly this content, so the
-    // metrics and state below come from the stamp-keyed caches unchanged.
-  } else if (config_.sandbox_actions) {
+  // A memo hit is a proven no-op on exactly this content: the metrics and
+  // state below come from the stamp-keyed caches unchanged.
+  if (!knownNoop(index)) {
     const std::uint64_t stamp = working_->contentStamp();
     const std::uint64_t generation = working_->irGeneration();
     SandboxOutcome out = runActionSandboxed(
@@ -164,16 +161,6 @@ PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
       result.fault.action = index;
       return result;
     }
-  } else if (config_.verify_actions) {
-    // Instrumented run: a pass that breaks the IR aborts with its own name
-    // instead of corrupting the reward signal steps later.
-    InstrumentOptions iopts;
-    iopts.verify = true;
-    iopts.abort_on_failure = true;
-    PassInstrumentation instr(iopts);
-    runPassSequence(*working_, (*actions_)[index].passes, instr);
-  } else {
-    runPassSequence(*working_, (*actions_)[index].passes);
   }
 
   // Reward-model metrics, memoized on the content stamp: an action the

@@ -63,25 +63,23 @@ struct EnvConfig {
                ? kStaticFeatureDim
                : static_cast<std::size_t>(embedding.dim);
   }
-  /// Run the structural verifier after every applied pass. With the sandbox
-  /// enabled a verify failure is contained (rollback + fault report); with
-  /// the sandbox disabled it aborts with the offending pass name.
-  /// Default-on in all build modes: the incremental hash-skipping verifier
+  /// Run the structural verifier after every applied pass; a verify failure
+  /// is contained like any fault (rollback + fault report). Default-on in
+  /// all build modes: the incremental hash-skipping verifier
   /// (analysis/fast_verifier.h) re-checks only functions the pass actually
   /// touched, so the steady-state cost per step is small.
   bool verify_actions = true;
   /// Diff each pass's declared preserved analyses (Pass::preserved())
   /// against the observed IR delta; broken promises roll back with a
-  /// FaultKind::ContractViolation attributed to the pass. Requires
-  /// sandbox_actions; ignored on the unsandboxed paths. It is also what
+  /// FaultKind::ContractViolation attributed to the pass. It is also what
   /// lets step() skip repeats of a proven no-op action (see step()).
   bool check_contracts = true;
-  /// Contain pass faults (snapshot/rollback) instead of crashing. Budgets
-  /// live in `sandbox`; its verify/contracts/oracle switches are slaved to
-  /// verify_actions / check_contracts / oracle_actions.
-  bool sandbox_actions = true;
   /// Also run the miscompile oracle after every pass (expensive).
   bool oracle_actions = false;
+  /// Every action runs sandboxed: a pass fault is contained (snapshot and
+  /// rollback) instead of crashing. Budgets live here; the verify,
+  /// contracts and oracle switches are slaved to verify_actions,
+  /// check_contracts and oracle_actions.
   SandboxConfig sandbox;
   /// Reward returned for a contained faulting action (the module is rolled
   /// back, so the honest delta-reward is 0; a mild penalty teaches the
@@ -133,9 +131,9 @@ class PhaseOrderEnv {
 
   /// Applies action \p index (one pass sub-sequence) to the working module.
   ///
-  /// No-op memo: with sandbox_actions and check_contracts on, an action
-  /// whose sandboxed run left the content stamp unchanged is recorded as a
-  /// no-op at the (contentStamp, irGeneration) key it ran at. Stepping it
+  /// No-op memo: with check_contracts on, an action whose sandboxed run
+  /// left the content stamp unchanged is recorded as a no-op at the
+  /// (contentStamp, irGeneration) key it ran at. Stepping it
   /// again at that same key skips the sandbox and returns what a re-run
   /// would: reward 0, the cached state, no fault, quarantine untouched.
   /// Soundness rules:

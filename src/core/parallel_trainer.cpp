@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ir/module.h"
+#include "rl/dqn.h"
 #include "support/error.h"
 #include "support/parallel.h"
 #include "support/rng.h"
@@ -14,35 +15,6 @@
 namespace posetrl {
 
 namespace {
-
-/// ε-greedy selection against a read-only policy snapshot — the actor-side
-/// mirror of DoubleDqn::act (same draw order: one Bernoulli, then either a
-/// uniform action draw or a greedy forward), so the exploration statistics
-/// match the agent's even though the agent never sees these calls.
-std::size_t selectAction(const Mlp& policy, const std::vector<double>& state,
-                         const std::vector<bool>& blocked, double eps,
-                         Rng& rng) {
-  const std::size_t num_actions = policy.outputSize();
-  const bool any_blocked =
-      std::find(blocked.begin(), blocked.end(), true) != blocked.end();
-  if (rng.nextBool(eps)) {
-    if (!any_blocked) return rng.nextBelow(num_actions);
-    std::vector<std::size_t> allowed;
-    for (std::size_t i = 0; i < num_actions; ++i) {
-      if (!blocked[i]) allowed.push_back(i);
-    }
-    POSETRL_CHECK(!allowed.empty(), "all actions blocked");
-    return allowed[rng.nextBelow(allowed.size())];
-  }
-  const std::vector<double> q = policy.forward(state);
-  std::size_t best = q.size();
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (any_blocked && blocked[i]) continue;
-    if (best == q.size() || q[i] > q[best]) best = i;
-  }
-  POSETRL_CHECK(best < q.size(), "all actions blocked");
-  return best;
-}
 
 /// One rollout actor: a private environment cache plus two private RNG
 /// streams. Lives for the whole run; runs one episode per round.
@@ -89,8 +61,10 @@ struct Actor {
     std::vector<Transition> episode;
     bool done = false;
     while (!done && steps < quota) {
+      // The agent's own decision rule and draw order, against the round's
+      // read-only policy copy; the agent never sees these draws.
       const std::size_t action =
-          selectAction(policy, state, env.actionMask(), eps, explore_rng);
+          epsilonGreedy(policy, state, &env.actionMask(), eps, explore_rng);
       PhaseOrderEnv::StepResult sr = env.step(action);
       if (sr.faulted) {
         ++faults;

@@ -16,6 +16,13 @@
 
 namespace posetrl {
 
+namespace {
+
+/// Interpreter fuel per oracle execution inside the sandbox.
+constexpr std::uint64_t kOracleFuel = 200'000;
+
+}  // namespace
+
 SandboxOutcome runActionSandboxed(std::unique_ptr<Module>& module,
                                   const std::vector<std::string>& pass_names,
                                   const SandboxConfig& config) {
@@ -58,10 +65,9 @@ SandboxOutcome runActionSandboxed(std::unique_ptr<Module>& module,
   iopts.verify = config.verify;
   iopts.contracts = config.contracts;
   iopts.oracle = config.oracle;
-  iopts.abort_on_failure = false;
   iopts.shared_fast_verifier = config.fast_verifier;
   iopts.trust_armed_boundary = config.trust_armed_boundary;
-  iopts.oracle_options.max_steps = config.oracle_fuel;
+  iopts.oracle_options.max_steps = kOracleFuel;
   const bool instrumented =
       config.verify || config.oracle || config.contracts;
   PassInstrumentation instr(iopts);

@@ -55,8 +55,6 @@ struct SandboxConfig {
   /// Cooperative fuel units each pass may spend (see support/fuel.h);
   /// 0 disables the budget.
   std::uint64_t pass_fuel = 2'000'000;
-  /// Interpreter fuel per oracle execution.
-  std::uint64_t oracle_fuel = 200'000;
   /// Wall-clock deadline for the whole action. Checked at every pass
   /// boundary and (via the fuel hooks, see support/deadline.h) inside
   /// long-running passes; expiry rolls back to the snapshot with a

@@ -6,16 +6,9 @@
 #include "ir/verifier.h"
 #include "lint/lint.h"
 #include "passes/pass.h"
-#include "support/error.h"
 #include "support/table.h"
 
 namespace posetrl {
-
-std::string PassFailure::str() const {
-  std::ostringstream os;
-  os << "step " << step << " -" << pass << " [" << stage << "]: " << detail;
-  return os.str();
-}
 
 PassInstrumentation::PassInstrumentation(InstrumentOptions options)
     : options_(std::move(options)), oracle_(options_.oracle_options) {}
@@ -43,26 +36,14 @@ void PassInstrumentation::beforePass(const Pass& pass, Module& m) {
 
 void PassInstrumentation::afterPass(const Pass& pass, Module& m,
                                     bool reported_changed) {
-  runChecks(pass.name(), m, &pass, reported_changed);
-}
-
-void PassInstrumentation::afterPass(std::string_view pass_name, Module& m) {
-  runChecks(pass_name, m, nullptr, /*reported_changed=*/true);
-}
-
-void PassInstrumentation::runChecks(std::string_view pass_name, Module& m,
-                                    const Pass* pass_obj,
-                                    bool reported_changed) {
   ++step_;
-  const std::string pass(pass_name);
+  const std::string name(pass.name());
   const auto fail = [&](const char* stage, std::string detail) {
     PassFailure f;
     f.step = step_;
-    f.pass = pass;
+    f.pass = name;
     f.stage = stage;
     f.detail = std::move(detail);
-    POSETRL_CHECK(!options_.abort_on_failure, "pass instrumentation: ",
-                  f.str());
     failures_.push_back(std::move(f));
   };
 
@@ -81,16 +62,10 @@ void PassInstrumentation::runChecks(std::string_view pass_name, Module& m,
   }
 
   if (options_.contracts) {
-    if (pass_obj != nullptr) {
-      const BoundaryReport report = manager().reconcileBoundary(
-          m, pass_obj->preserved(), reported_changed);
-      for (const ContractViolation& v : report.violations)
-        fail("contract", v.detail);
-    } else {
-      // No pass object means no declarations to reconcile; disarm so the
-      // next boundary snapshots the actual (possibly mutated) state.
-      manager().disarmBoundary();
-    }
+    const BoundaryReport report = manager().reconcileBoundary(
+        m, pass.preserved(), reported_changed);
+    for (const ContractViolation& v : report.violations)
+      fail("contract", v.detail);
   }
 
   if (options_.lint) {
@@ -100,7 +75,7 @@ void PassInstrumentation::runChecks(std::string_view pass_name, Module& m,
           static_cast<int>(options_.lint_failure_threshold)) {
         fail("lint", d.str());
       }
-      attributed_.push_back({step_, pass, std::move(d)});
+      attributed_.push_back({step_, name, std::move(d)});
     }
     last_lint_ = std::move(now);
   }

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/analysis_manager.h"
@@ -29,18 +28,13 @@ struct InstrumentOptions {
   /// sequence so functions a pass left unchanged are skipped.
   bool verify = true;
   /// Diff each pass's declared preserved analyses (Pass::preserved) against
-  /// the observed IR delta and fail the pass on a broken promise. Needs the
-  /// beforePass/afterPass(Pass&,...) entry points; the name-only afterPass
-  /// overload cannot attribute contracts and skips this stage.
+  /// the observed IR delta and fail the pass on a broken promise.
   bool contracts = false;
   bool lint = false;    ///< Semantic lint checkers (lint/lint.h).
   bool oracle = false;  ///< Differential behaviour oracle (lint/oracle.h).
   /// Lint findings at or above this severity count as failures (milder ones
   /// are still recorded as attributed diagnostics).
   LintSeverity lint_failure_threshold = LintSeverity::Error;
-  /// Abort the process on the first failure (fatalError with the offending
-  /// pass name) instead of recording and continuing.
-  bool abort_on_failure = false;
   /// Externally owned fast verifier to use instead of this instrumentation's
   /// private one. Lets an owner with a longer lifetime (PhaseOrderEnv) keep
   /// the clean-hash skip cache warm across per-action instrumentation
@@ -61,8 +55,6 @@ struct PassFailure {
   std::string pass;      ///< Name of the offending pass.
   std::string stage;     ///< "verify", "lint" or "oracle".
   std::string detail;
-
-  std::string str() const;
 };
 
 /// A lint finding first observed after a specific pass.
@@ -94,10 +86,6 @@ class PassInstrumentation {
   /// (a changed=false lie is a contract violation).
   void afterPass(const Pass& pass, Module& m, bool reported_changed);
 
-  /// Name-only variant for callers without a Pass object; runs every stage
-  /// except the contract checker.
-  void afterPass(std::string_view pass_name, Module& m);
-
   std::size_t stepsRun() const { return step_; }
   bool clean() const { return failures_.empty(); }
   const std::vector<PassFailure>& failures() const { return failures_; }
@@ -121,8 +109,6 @@ class PassInstrumentation {
   }
 
  private:
-  void runChecks(std::string_view pass_name, Module& m, const Pass* pass,
-                 bool reported_changed);
   FastVerifier& activeFastVerifier() {
     return options_.shared_fast_verifier != nullptr
                ? *options_.shared_fast_verifier

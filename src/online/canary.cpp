@@ -7,7 +7,7 @@
 #include "faults/sandbox.h"
 #include "ir/clone.h"
 #include "ir/module.h"
-#include "online/snapshot.h"
+#include "rl/dqn.h"
 #include "target/mca_model.h"
 #include "target/size_model.h"
 #include "target/target_info.h"
@@ -17,15 +17,13 @@ namespace posetrl {
 CanaryRollout canaryRollout(const Mlp& net, const Module& program,
                             const std::vector<SubSequence>& actions,
                             const EnvConfig& env) {
-  EnvConfig cfg = env;
-  cfg.sandbox_actions = true;  // never let an eval rollout crash the gate
-  PhaseOrderEnv rollout_env(program, actions, cfg);
+  PhaseOrderEnv rollout_env(program, actions, env);
   Embedding state = rollout_env.reset();
   CanaryRollout out;
   out.base_size = rollout_env.baseSize();
   out.best_size = out.base_size;
   out.best_cycles = rollout_env.baseCycles();
-  for (int step = 0; step < cfg.episode_length; ++step) {
+  for (int step = 0; step < env.episode_length; ++step) {
     const std::vector<bool>& mask = rollout_env.actionMask();
     if (std::all_of(mask.begin(), mask.end(), [](bool b) { return b; })) {
       break;  // everything quarantined on this program

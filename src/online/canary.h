@@ -86,8 +86,8 @@ CanaryRollout canaryRollout(const Mlp& net, const Module& program,
                             const EnvConfig& env);
 
 /// Runs the full gate: candidate vs incumbent vs -Oz over holdout + shadow
-/// modules. Sandboxing is forced on regardless of \p env. Null entries in
-/// the module lists are skipped.
+/// modules (every rollout step runs sandboxed, as every environment step
+/// does). Null entries in the module lists are skipped.
 CanaryReport runCanary(const Mlp& candidate, const Mlp& incumbent,
                        const std::vector<const Module*>& holdout,
                        const std::vector<const Module*>& shadow,

@@ -12,6 +12,13 @@ namespace posetrl {
 
 namespace {
 
+/// Gradient steps before each promotion attempt.
+constexpr std::size_t kTrainBatchesPerAttempt = 8;
+/// Recent request modules kept for shadow-mode canary evaluation.
+constexpr std::size_t kShadowCapacity = 4;
+/// Ceiling of the doubling wait between durability re-arm probes.
+constexpr std::chrono::milliseconds kDurabilityRetryMax{5000};
+
 std::string walDir(const OnlineLearnerConfig& config) {
   return config.dir + "/wal";
 }
@@ -19,7 +26,6 @@ std::string walDir(const OnlineLearnerConfig& config) {
 WalConfig makeWalConfig(const OnlineLearnerConfig& config) {
   WalConfig wal_cfg;
   wal_cfg.dir = walDir(config);
-  wal_cfg.segment_bytes = config.wal_segment_bytes;
   wal_cfg.sync_every_records = config.wal_sync_every;
   return wal_cfg;
 }
@@ -218,9 +224,7 @@ bool OnlineLearner::probeDurabilityLocked() {
     // so a successful probe re-arms onto a clean log.
     wal_ = std::make_unique<TrajectoryWal>(makeWalConfig(config_));
   } catch (const FatalError&) {
-    probe_backoff_ = std::min(
-        probe_backoff_ * 2,
-        std::chrono::milliseconds(config_.durability_retry_max_ms));
+    probe_backoff_ = std::min(probe_backoff_ * 2, kDurabilityRetryMax);
     next_probe_ = now + probe_backoff_;
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.wal_failures;
@@ -257,11 +261,10 @@ void OnlineLearner::addHoldoutModule(const Module& program) {
 }
 
 void OnlineLearner::noteRequestModule(const Module& program) {
-  if (config_.shadow_capacity == 0) return;
   std::shared_ptr<const Module> clone = cloneModule(program);
   std::lock_guard<std::mutex> lock(shadow_mu_);
   shadow_.push_back(std::move(clone));
-  while (shadow_.size() > config_.shadow_capacity) shadow_.pop_front();
+  while (shadow_.size() > kShadowCapacity) shadow_.pop_front();
 }
 
 std::uint64_t OnlineLearner::forcePromote(Mlp net) {
@@ -355,14 +358,14 @@ void OnlineLearner::applyRecord(EpisodeRecord record) {
 
 void OnlineLearner::trainAndMaybePromote() {
   if (buffer_.size() < agent_.warmupThreshold()) return;
-  for (std::size_t i = 0; i < config_.train_batches; ++i) {
+  for (std::size_t i = 0; i < kTrainBatchesPerAttempt; ++i) {
     const std::vector<const Transition*> batch =
         buffer_.sample(agent_.config().batch_size, rng_);
     agent_.trainOnBatch(batch);
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.trained_batches += config_.train_batches;
+    stats_.trained_batches += kTrainBatchesPerAttempt;
   }
   if (watchdog_.armed()) return;  // one candidate on trial at a time
 

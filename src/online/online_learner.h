@@ -67,26 +67,23 @@ struct OnlineLearnerConfig {
   /// Replay shards (ingest distributes episodes round-robin by request id).
   std::size_t num_shards = 4;
   std::size_t shard_capacity = 4096;
-  /// WAL tuning (see WalConfig).
-  std::size_t wal_segment_bytes = 4u << 20;
+  /// WAL group-commit interval (WalConfig::sync_every_records); segments
+  /// rotate at WalConfig's default size.
   std::size_t wal_sync_every = 16;
-  /// Gradient steps per promotion attempt.
-  std::size_t train_batches = 8;
   /// Ingested episodes between promotion attempts (0 disables automatic
-  /// promotion — candidates then only appear via forcePromote()).
+  /// promotion — candidates then only appear via forcePromote()). Each
+  /// attempt first runs kTrainBatchesPerAttempt gradient steps, and the
+  /// canary also rolls out on the last kShadowCapacity request modules.
   std::size_t promote_every = 8;
-  /// Recent request modules cloned for shadow-mode canary evaluation.
-  std::size_t shadow_capacity = 4;
   CanaryConfig canary;
   WatchdogConfig watchdog;
-  /// Environment for canary rollouts (sandboxing forced on).
+  /// Environment for canary rollouts.
   EnvConfig env;
   std::uint64_t seed = 0x0e11a;
   /// First re-arm probe after entering durability degradation fires this
   /// many ms after the failure; consecutive probe failures double the wait
-  /// up to `durability_retry_max_ms`.
+  /// up to kDurabilityRetryMax.
   std::size_t durability_retry_initial_ms = 100;
-  std::size_t durability_retry_max_ms = 5000;
 };
 
 /// Monotonic counters; snapshot via OnlineLearner::stats().

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file snapshot.h
-/// Versioned, immutable policy snapshots and the lock-free hot-swap registry
-/// that serves them (DESIGN.md "Online learning and policy lifecycle").
+/// Versioned, immutable policy snapshots and the hot-swap registry that
+/// serves them (DESIGN.md "Online learning and policy lifecycle").
 ///
 /// A PolicySnapshot freezes one version of the policy network: the version
 /// number, a content hash of the weights, the parent snapshot's hash (so the
@@ -10,19 +10,16 @@
 /// Snapshots are immutable after construction — the whole point is that a
 /// request can keep using one while the learner publishes successors.
 ///
-/// SnapshotRegistry is the swap point. Readers pin() the current snapshot
-/// (wait-free apart from slot contention: claim a reader slot, stamp the
-/// global epoch, re-validate, load the pointer) and hold the returned RAII
-/// Pin for as long as they use the snapshot — an in-flight request pins once
-/// at admission and finishes on the snapshot it started with, no matter how
-/// many promotions happen meanwhile. publish() swaps the current pointer,
-/// bumps the epoch, and retires the predecessor; a retired snapshot is
-/// reclaimed only once every active reader slot has stamped an epoch at or
-/// past the retirement epoch (epoch-based reclamation — readers never take a
-/// lock, are never blocked by the writer, and never observe a torn or freed
-/// snapshot).
+/// SnapshotRegistry is the swap point: one mutex-guarded
+/// shared_ptr<const PolicySnapshot>. A reader pin()s by copying that
+/// pointer under the lock and holds the copy for as long as it uses the
+/// snapshot — an in-flight request pins once at admission and finishes on
+/// the snapshot it started with, no matter how many promotions happen
+/// meanwhile. publish() swaps the pointer under the same lock; a superseded
+/// snapshot is freed when its last pin drops, never under the lock. The
+/// serve path takes one pin per request, so the lock is held for a
+/// pointer copy a few hundred times a second.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -32,13 +29,6 @@
 #include "rl/mlp.h"
 
 namespace posetrl {
-
-/// First-strictly-greatest argmax over \p q, skipping blocked actions when
-/// \p blocked is non-null — exactly DoubleDqn::actGreedy's tie-breaking, so
-/// snapshot-served and agent-served inference pick identical actions for
-/// identical Q-values.
-std::size_t maskedArgmax(const std::vector<double>& q,
-                         const std::vector<bool>* blocked);
 
 /// Stable content hash of a network's inference parameters (weights +
 /// biases, not Adam state): snapshots with equal weights hash equally.
@@ -60,53 +50,20 @@ struct PolicySnapshot {
                         const std::vector<bool>* blocked = nullptr) const;
 };
 
-/// Lock-free publication point for policy snapshots (see file comment).
+/// Publication point for policy snapshots (see file comment).
 class SnapshotRegistry {
  public:
-  /// \p reader_slots bounds the number of *concurrent* pins (not threads —
-  /// slots are claimed per pin and released on unpin).
-  explicit SnapshotRegistry(std::size_t reader_slots = 64);
-  ~SnapshotRegistry();
-  SnapshotRegistry(const SnapshotRegistry&) = delete;
-  SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
+  /// Read guard: shares ownership of the pinned snapshot, which stays alive
+  /// and unchanged until the last pin of it drops. Empty when nothing was
+  /// published yet.
+  using Pin = std::shared_ptr<const PolicySnapshot>;
 
-  /// RAII read guard. Movable; the pinned snapshot stays valid (never
-  /// reclaimed, never mutated) until destruction. A default-constructed /
-  /// empty Pin holds nothing.
-  class Pin {
-   public:
-    Pin() = default;
-    Pin(Pin&& other) noexcept { *this = std::move(other); }
-    Pin& operator=(Pin&& other) noexcept;
-    Pin(const Pin&) = delete;
-    Pin& operator=(const Pin&) = delete;
-    ~Pin() { release(); }
-
-    const PolicySnapshot* get() const { return snap_; }
-    const PolicySnapshot* operator->() const { return snap_; }
-    const PolicySnapshot& operator*() const { return *snap_; }
-    explicit operator bool() const { return snap_ != nullptr; }
-    void release();
-
-   private:
-    friend class SnapshotRegistry;
-    Pin(const SnapshotRegistry* owner, std::size_t slot,
-        const PolicySnapshot* snap)
-        : owner_(owner), slot_(slot), snap_(snap) {}
-
-    const SnapshotRegistry* owner_ = nullptr;
-    std::size_t slot_ = 0;
-    const PolicySnapshot* snap_ = nullptr;
-  };
-
-  /// Pins the current snapshot (null Pin when nothing is published yet).
-  /// Lock-free: spins only while every reader slot is simultaneously held.
+  /// Pins the current snapshot (an empty Pin when nothing is published).
   Pin pin() const;
 
-  /// Publishes \p snap as the new current version and retires the
-  /// predecessor. Versions must be strictly increasing. Returns the
-  /// published version. Reclaims any retired snapshots that no reader can
-  /// still hold. Thread-safe against concurrent pins and publishes.
+  /// Publishes \p snap as the new current version. Versions must be
+  /// strictly increasing. Returns the published version. Thread-safe
+  /// against concurrent pins and publishes.
   std::uint64_t publish(std::unique_ptr<PolicySnapshot> snap);
 
   /// Version of the current snapshot (0 when nothing is published).
@@ -114,29 +71,13 @@ class SnapshotRegistry {
 
   struct Stats {
     std::size_t published = 0;
-    std::size_t reclaimed = 0;
-    std::size_t retired_pending = 0;  ///< Retired but not yet reclaimable.
-    double last_publish_us = 0.0;     ///< Swap + reclaim latency.
+    double last_publish_us = 0.0;  ///< Time the swap held the lock.
   };
   Stats stats() const;
 
  private:
-  struct alignas(64) Slot {
-    /// 0 = free; otherwise epoch + 1 of the pin that holds it.
-    std::atomic<std::uint64_t> state{0};
-  };
-
-  void unpin(std::size_t slot) const;
-  /// Frees retired snapshots no active reader can reference. Caller holds
-  /// retire_mu_.
-  void reclaimLocked();
-
-  mutable std::vector<Slot> slots_;
-  std::atomic<const PolicySnapshot*> current_{nullptr};
-  std::atomic<std::uint64_t> epoch_{0};
-
-  mutable std::mutex retire_mu_;  ///< Publisher-side state below.
-  std::vector<std::pair<const PolicySnapshot*, std::uint64_t>> retired_;
+  mutable std::mutex mu_;  ///< Guards everything below.
+  Pin current_;
   Stats stats_;
 };
 

@@ -18,16 +18,32 @@ std::vector<std::size_t> layerSizes(const DqnConfig& c) {
   return sizes;
 }
 
-std::size_t argmax(const std::vector<double>& v) {
-  POSETRL_CHECK(!v.empty(), "argmax of empty vector");
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] > v[best]) best = i;
+}  // namespace
+
+std::size_t maskedArgmax(std::span<const double> q,
+                         const std::vector<bool>* blocked) {
+  POSETRL_CHECK(blocked == nullptr || blocked->size() == q.size(),
+                "mask width must match the Q-vector");
+  std::size_t best = q.size();
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (blocked != nullptr && (*blocked)[i]) continue;
+    if (best == q.size() || q[i] > q[best]) best = i;
   }
+  POSETRL_CHECK(best < q.size(), "all actions blocked");
   return best;
 }
 
-}  // namespace
+std::size_t epsilonGreedy(const Mlp& net, const std::vector<double>& state,
+                          const std::vector<bool>* blocked, double eps,
+                          Rng& rng) {
+  if (!rng.nextBool(eps)) return maskedArgmax(net.forward(state), blocked);
+  std::vector<std::size_t> allowed;
+  for (std::size_t i = 0; i < net.outputSize(); ++i) {
+    if (blocked == nullptr || !(*blocked)[i]) allowed.push_back(i);
+  }
+  POSETRL_CHECK(!allowed.empty(), "all actions blocked");
+  return allowed[rng.nextBelow(allowed.size())];
+}
 
 DoubleDqn::DoubleDqn(const DqnConfig& config)
     : config_(config),
@@ -56,50 +72,20 @@ std::size_t DoubleDqn::warmupThreshold() const {
   return std::max(floor_, config_.batch_size);
 }
 
-namespace {
-
-bool anyBlocked(const std::vector<bool>* blocked) {
-  if (blocked == nullptr) return false;
-  for (bool b : *blocked) {
-    if (b) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::size_t DoubleDqn::act(const std::vector<double>& state, bool explore,
                            const std::vector<bool>* blocked) {
-  if (explore) {
-    // Count this step before reading ε, so the decay position matches the
-    // step counter: the step that moves the counter to epsilon_decay_steps
-    // draws with exactly epsilon_end. (Reading first lagged the schedule by
-    // one step, and the annealed floor was never actually used.)
-    ++steps_;
-    if (rng_.nextBool(epsilon())) {
-      if (!anyBlocked(blocked)) return rng_.nextBelow(config_.num_actions);
-      std::vector<std::size_t> allowed;
-      for (std::size_t i = 0; i < config_.num_actions; ++i) {
-        if (!(*blocked)[i]) allowed.push_back(i);
-      }
-      POSETRL_CHECK(!allowed.empty(), "all actions blocked");
-      return allowed[rng_.nextBelow(allowed.size())];
-    }
-  }
-  return actGreedy(state, blocked);
+  if (!explore) return actGreedy(state, blocked);
+  // Count this step before reading ε, so the decay position matches the
+  // step counter: the step that moves the counter to epsilon_decay_steps
+  // draws with exactly epsilon_end. (Reading first lagged the schedule by
+  // one step, and the annealed floor was never actually used.)
+  ++steps_;
+  return epsilonGreedy(online_, state, blocked, epsilon(), rng_);
 }
 
 std::size_t DoubleDqn::actGreedy(const std::vector<double>& state,
                                  const std::vector<bool>* blocked) const {
-  const std::vector<double> q = online_.forward(state);
-  if (!anyBlocked(blocked)) return argmax(q);
-  std::size_t best = q.size();
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if ((*blocked)[i]) continue;
-    if (best == q.size() || q[i] > q[best]) best = i;
-  }
-  POSETRL_CHECK(best < q.size(), "all actions blocked");
-  return best;
+  return maskedArgmax(online_.forward(state), blocked);
 }
 
 std::vector<double> DoubleDqn::qValues(
@@ -176,11 +162,8 @@ double DoubleDqn::updateFromBatch(
     const Matrix online_q = online_.forwardBatch(next_states);
     const Matrix target_q = target_.forwardBatch(next_states);
     for (std::size_t b = 0; b < boot.size(); ++b) {
-      const double* row = online_q.data() + b * online_q.cols();
-      std::size_t best = 0;
-      for (std::size_t a = 1; a < online_q.cols(); ++a) {
-        if (row[a] > row[best]) best = a;
-      }
+      const std::size_t best = maskedArgmax(
+          {online_q.data() + b * online_q.cols(), online_q.cols()}, nullptr);
       targets[boot[b]] += config_.gamma * target_q.at(b, best);
     }
   }

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "rl/mlp.h"
@@ -46,6 +47,25 @@ struct DqnConfig {
   /// afford plain TD). The trainer fills Transition::mc_return.
   bool mc_returns = true;
 };
+
+/// The agent's decision rule, shared by every actor that picks an action:
+/// the agent itself, the parallel trainer's rollout actors, the compile
+/// service, canary rollouts and policy snapshots, so all of them pick
+/// identical actions for identical Q-values and RNG states.
+
+/// Index of the first strictly greatest value in \p q, skipping actions
+/// with (*blocked)[i] == true when \p blocked is non-null. Raises
+/// FatalError when no action is left to pick.
+std::size_t maskedArgmax(std::span<const double> q,
+                         const std::vector<bool>* blocked);
+
+/// ε-greedy pick over \p net's Q-values for \p state. Draw order: one
+/// rng.nextBool(eps); on true, a uniform rng.nextBelow over the unblocked
+/// actions (all of them when \p blocked is null or blocks nothing), else
+/// maskedArgmax of one forward pass.
+std::size_t epsilonGreedy(const Mlp& net, const std::vector<double>& state,
+                          const std::vector<bool>* blocked, double eps,
+                          Rng& rng);
 
 /// Double DQN agent.
 ///

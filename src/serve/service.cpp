@@ -33,6 +33,12 @@ const char* serveStatusName(ServeStatus status) {
 
 namespace {
 
+/// How often the reaper sweeps the queue for requests whose deadline
+/// expired while still queued (resolved on the Identity rung instead of
+/// waiting for a busy worker). This bounds an expired request's response
+/// time under full load.
+constexpr std::chrono::milliseconds kReapInterval{5};
+
 double millisSince(Deadline::TimePoint t0) {
   return std::chrono::duration<double, std::milli>(Deadline::Clock::now() - t0)
       .count();
@@ -49,9 +55,6 @@ CompileService::CompileService(const DoubleDqn& agent,
       breakers_(actions_.size(), config.breaker) {
   POSETRL_CHECK(!actions_.empty(), "service needs a non-empty action space");
   POSETRL_CHECK(config_.workers > 0, "service needs at least one worker");
-  // Serving depends on containment: an uncontained pass fault must never
-  // take down the process, so the sandbox is not optional here.
-  config_.env.sandbox_actions = true;
   for (std::size_t i = 0; i < config_.workers; ++i) {
     RungThread& t = *rung_threads_.emplace_back(std::make_unique<RungThread>());
     t.thread = std::thread([this, &t] { rungLoop(t); });
@@ -69,9 +72,7 @@ void CompileService::start() {
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this, i] { workerLoop(i); });
   }
-  if (config_.reap_interval.count() > 0) {
-    reaper_ = std::thread([this] { reaperLoop(); });
-  }
+  reaper_ = std::thread([this] { reaperLoop(); });
 }
 
 void CompileService::shutdown() {
@@ -208,7 +209,7 @@ void CompileService::reaperLoop() {
   // busy the workers are.
   std::unique_lock<std::mutex> lock(mu_);
   while (accepting_) {
-    reap_cv_.wait_for(lock, config_.reap_interval);
+    reap_cv_.wait_for(lock, kReapInterval);
     const auto now = Deadline::Clock::now();
     std::vector<Request> expired;
     for (auto it = queue_.begin(); it != queue_.end();) {
@@ -340,7 +341,6 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
       deadline.fractionFromNow(1.0 - config_.oz_reserve, t0);
 
   EnvConfig env_cfg = config_.env;
-  env_cfg.sandbox_actions = true;
   env_cfg.sandbox.deadline = rollout_deadline;
 
   SizeModel size_model(TargetInfo::forArch(env_cfg.arch));
@@ -410,7 +410,8 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
       break;
     }
 
-    const std::size_t action = selectAction(*policy, state, mask);
+    inferences_.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t action = maskedArgmax(policy->forward(state), &mask);
     if (!breakers_.tryAcquire(action)) {
       // Raced with another worker (breaker opened or probe slot claimed
       // between mask snapshot and acquire); re-pick with a fresh mask.
@@ -573,13 +574,6 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   r.latency_ms = millisSince(t0);
   notifyOnline(r, program, std::move(episode));
   return r;
-}
-
-std::size_t CompileService::selectAction(const Mlp& net,
-                                         const Embedding& state,
-                                         const std::vector<bool>& mask) {
-  inferences_.fetch_add(1, std::memory_order_relaxed);
-  return maskedArgmax(net.forward(state), &mask);
 }
 
 void CompileService::notifyOnline(const ServeResult& r, const Module& program,

@@ -107,14 +107,9 @@ struct ServeConfig {
   /// guarantee. With false, -Oz runs only if the rollout yields nothing.
   bool verify_against_oz = true;
   CircuitBreakerConfig breaker;
-  /// Environment settings for rollouts (sandboxing is forced on; the
+  /// Environment settings for rollouts (every action runs sandboxed; the
   /// per-request deadline overwrites env.sandbox.deadline).
   EnvConfig env;
-  /// The reaper thread sweeps the queue at this interval, resolving
-  /// requests whose deadline expired while still queued (Identity rung)
-  /// instead of letting them wait for a busy worker — this is what bounds
-  /// an expired request's response time under full load. Zero disables.
-  std::chrono::milliseconds reap_interval{5};
   /// Seed for the per-worker RNG streams (backoff jitter).
   std::uint64_t seed = 0x5e27e;
   /// Spawn workers in the constructor. With false, call start() explicitly
@@ -275,10 +270,6 @@ class CompileService {
   ServeResult expireRequest(const Module& program, std::uint64_t id,
                             const char* where);
   void recordResult(const ServeResult& r);
-  /// Greedy action under \p net (the pinned snapshot's network, or the
-  /// fixed agent's online net), computed on the calling thread.
-  std::size_t selectAction(const Mlp& net, const Embedding& state,
-                           const std::vector<bool>& mask);
   /// Feeds the online learner after a response: durable episode ingest plus
   /// one watchdog observation. No-op without an online learner.
   void notifyOnline(const ServeResult& r, const Module& program,
@@ -289,7 +280,7 @@ class CompileService {
   ServeConfig config_;
   BreakerBank breakers_;
   OzMemo oz_memo_;
-  std::atomic<std::size_t> inferences_{0};  ///< selectAction calls.
+  std::atomic<std::size_t> inferences_{0};  ///< Greedy forward passes.
 
   mutable std::mutex mu_;
   std::condition_variable cv_;       ///< Wakes workers (new request/shutdown).

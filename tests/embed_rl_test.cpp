@@ -881,6 +881,79 @@ TEST(DqnTest, EpsilonEndpointsAreExact) {
   EXPECT_EQ(agent.epsilon(), 0.01);
 }
 
+TEST(DqnTest, MaskedArgmaxTable) {
+  // x marks a blocked action; '.' an open one; an empty mask string means
+  // no mask at all.
+  struct Row {
+    const char* what;
+    std::vector<double> q;
+    const char* mask;
+    std::size_t expect;
+  };
+  const std::vector<Row> rows = {
+      {"single action", {0.5}, "", 0},
+      {"unique max", {1.0, 3.0, 2.0}, "", 1},
+      {"tie goes to the first", {2.0, 5.0, 5.0, 1.0}, "", 1},
+      {"tie at the front", {7.0, 7.0, 7.0}, "", 0},
+      {"all-open mask is no mask", {2.0, 5.0, 5.0}, "...", 1},
+      {"blocked max is skipped", {1.0, 9.0, 3.0}, ".x.", 2},
+      {"blocked first tie", {4.0, 4.0, 0.0}, "x..", 1},
+      {"only the last is open", {9.0, 8.0, -5.0}, "xx.", 2},
+      {"first open wins a masked tie", {6.0, 1.0, 6.0, 6.0}, "x...", 2},
+      {"negative values", {-3.0, -1.0, -2.0}, "", 1},
+      {"-inf is still pickable", {-INFINITY, -INFINITY}, "x.", 1},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    std::vector<bool> mask;
+    for (const char* c = row.mask; *c != '\0'; ++c) mask.push_back(*c == 'x');
+    EXPECT_EQ(maskedArgmax(row.q, mask.empty() ? nullptr : &mask),
+              row.expect);
+  }
+
+  ScopedFaultTrap trap;
+  const std::vector<double> q{1.0, 2.0};
+  const std::vector<bool> all_blocked{true, true};
+  EXPECT_THROW(maskedArgmax(q, &all_blocked), FatalError);
+  const std::vector<bool> narrow{false};
+  EXPECT_THROW(maskedArgmax(q, &narrow), FatalError);
+  EXPECT_THROW(maskedArgmax(std::vector<double>{}, nullptr), FatalError);
+}
+
+TEST(DqnTest, EpsilonGreedyDrawOrder) {
+  // One Bernoulli draw; on explore, one uniform draw over the open actions
+  // (all of them without a mask); on exploit, no further draw.
+  Rng init(5);
+  const Mlp net({3, 6, 5}, init);
+  const std::vector<double> state{0.1, -0.4, 0.7};
+  const std::vector<bool> mask{true, false, true, false, false};
+  const std::vector<std::size_t> open{1, 3, 4};
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    for (const double eps : {0.0, 0.5, 1.0}) {
+      for (const std::vector<bool>* blocked :
+           {static_cast<const std::vector<bool>*>(nullptr), &mask}) {
+        Rng rng(seed);
+        Rng mirror(seed);
+        const std::size_t got = epsilonGreedy(net, state, blocked, eps, rng);
+        std::size_t expect;
+        if (mirror.nextBool(eps)) {
+          expect = blocked == nullptr ? mirror.nextBelow(5)
+                                      : open[mirror.nextBelow(open.size())];
+        } else {
+          expect = maskedArgmax(net.forward(state), blocked);
+        }
+        EXPECT_EQ(got, expect);
+        // Both streams stand at the same position afterwards.
+        EXPECT_EQ(rng.next(), mirror.next());
+      }
+    }
+  }
+  ScopedFaultTrap trap;
+  Rng rng(1);
+  const std::vector<bool> all_blocked(5, true);
+  EXPECT_THROW(epsilonGreedy(net, state, &all_blocked, 1.0, rng), FatalError);
+}
+
 TEST(DqnTest, NoUpdatesBeforeReplayWarmup) {
   DqnConfig cfg;
   cfg.state_dim = 3;

@@ -1,9 +1,9 @@
 /// \file online_test.cpp
 /// Tests for the online-learning subsystem (DESIGN.md "Online learning and
 /// policy lifecycle"): WAL framing, segment rotation, torn-tail recovery at
-/// every truncation offset, mid-log corruption detection; the lock-free
-/// snapshot registry (pin semantics, epoch reclamation, concurrent swap
-/// churn); the canary gate; the promotion watchdog state machine; and
+/// every truncation offset, mid-log corruption detection; the snapshot
+/// registry (pin semantics, lifetime of superseded snapshots, concurrent
+/// swap churn); the canary gate; the promotion watchdog state machine; and
 /// OnlineLearner crash recovery (bit-exact replay-shard reconstruction,
 /// snapshot persistence, automatic rollback) plus the CompileService
 /// end-to-end ingest loop and its per-request policy pinning under
@@ -305,7 +305,7 @@ TEST(SnapshotTest, MaskedArgmaxMatchesAgentActGreedy) {
 
 TEST(SnapshotTest, PinSurvivesHotSwapAndReclaimsAfterRelease) {
   DoubleDqn agent(tinyDqnConfig());
-  SnapshotRegistry registry(4);
+  SnapshotRegistry registry;
   EXPECT_EQ(registry.currentVersion(), 0u);
   EXPECT_FALSE(registry.pin());
 
@@ -314,25 +314,31 @@ TEST(SnapshotTest, PinSurvivesHotSwapAndReclaimsAfterRelease) {
   ASSERT_TRUE(pin);
   EXPECT_EQ(pin->version, 1u);
   const std::uint64_t v1_hash = pin->hash;
+  SnapshotRegistry::Pin second_pin = registry.pin();
+  const std::weak_ptr<const PolicySnapshot> v1 = pin;
 
   registry.publish(
       std::make_unique<PolicySnapshot>(2, v1_hash, agent.onlineNet()));
-  EXPECT_EQ(registry.currentVersion(), 2u);
-  // The in-flight pin still reads version 1, untouched.
+  registry.publish(std::make_unique<PolicySnapshot>(3, 0, agent.onlineNet()));
+  EXPECT_EQ(registry.currentVersion(), 3u);
+  EXPECT_EQ(registry.stats().published, 3u);
+  // Two publishes later the in-flight pins still read version 1, untouched.
+  EXPECT_FALSE(v1.expired());
   EXPECT_EQ(pin->version, 1u);
   EXPECT_EQ(pin->hash, v1_hash);
-  EXPECT_EQ(registry.stats().retired_pending, 1u);
 
-  pin.release();
-  registry.publish(
-      std::make_unique<PolicySnapshot>(3, 0, agent.onlineNet()));
-  // Publishing v3 retires v2 and reclaims v1 (no pin holds it anymore).
-  EXPECT_GE(registry.stats().reclaimed, 1u);
+  // v1 lives exactly as long as its last pin.
+  pin.reset();
+  EXPECT_FALSE(v1.expired());
+  EXPECT_EQ(second_pin->version, 1u);
+  second_pin.reset();
+  EXPECT_TRUE(v1.expired());
+  EXPECT_EQ(registry.pin()->version, 3u);
 }
 
 TEST(SnapshotTest, PublishRejectsNonIncreasingVersions) {
   DoubleDqn agent(tinyDqnConfig());
-  SnapshotRegistry registry(4);
+  SnapshotRegistry registry;
   registry.publish(std::make_unique<PolicySnapshot>(5, 0, agent.onlineNet()));
   ScopedFaultTrap trap;
   EXPECT_THROW(
@@ -344,10 +350,11 @@ TEST(SnapshotTest, PublishRejectsNonIncreasingVersions) {
 TEST(SnapshotTest, ConcurrentSwapChurn) {
   // Readers continuously pin/use/unpin while a publisher hot-swaps
   // versions; under TSAN this is the data-race certification for the
-  // epoch-reclamation scheme.
+  // registry and for freeing superseded snapshots off the lock.
   DoubleDqn agent(tinyDqnConfig());
-  SnapshotRegistry registry(16);
+  SnapshotRegistry registry;
   registry.publish(std::make_unique<PolicySnapshot>(1, 0, agent.onlineNet()));
+  const std::weak_ptr<const PolicySnapshot> v1 = registry.pin();
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
@@ -369,7 +376,7 @@ TEST(SnapshotTest, ConcurrentSwapChurn) {
     });
   }
   // A reader that never pins: currentVersion() must not touch a snapshot
-  // the publisher is reclaiming.
+  // the publisher is freeing.
   readers.emplace_back([&] {
     std::uint64_t last_seen = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -387,12 +394,9 @@ TEST(SnapshotTest, ConcurrentSwapChurn) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(registry.currentVersion(), 40u);
   EXPECT_GT(reads.load(), 0u);
-  const SnapshotRegistry::Stats stats = registry.stats();
-  EXPECT_EQ(stats.published, 40u);
-  // Everything except the current snapshot is reclaimable once readers
-  // stopped; the final publish may leave a few pending, but most must have
-  // been reclaimed along the way.
-  EXPECT_GT(stats.reclaimed, 0u);
+  EXPECT_EQ(registry.stats().published, 40u);
+  // Once the readers stopped, nothing holds the first version any more.
+  EXPECT_TRUE(v1.expired());
 }
 
 TEST(SnapshotTest, PersistRoundtrip) {

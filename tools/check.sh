@@ -408,8 +408,8 @@ if [[ $TSAN -eq 1 ]]; then
     status=1
   fi
   rm -rf "$TSAN_ONLINE"
-  # Swap-churn unit test (tight publish/pin/reclaim races the driver cannot
-  # reach as directly), 4 workers against a synchronous compile() and hot
+  # Swap-churn unit test (tight publish/pin races, superseded snapshots freed
+  # by whichever pin drops last, which the driver cannot reach as directly), 4 workers against a synchronous compile() and hot
   # swaps landing mid-request (inline inference on pinned policies), the
   # GEMM bit-identity suite (its forced-mode dispatch pokes the atomic
   # SIMD-mode slot the parallel trainer's actors read concurrently), 4
