@@ -45,10 +45,8 @@
 
 #include "core/environment.h"
 #include "core/oz_sequence.h"
+#include "core/policy.h"
 #include "core/trainer.h"
-#include "faults/sandbox.h"
-#include "ir/clone.h"
-#include "ir/function.h"
 #include "ir/module.h"
 #include "ir/printer.h"
 #include "rl/dqn.h"
@@ -105,26 +103,18 @@ ProgramSpec servePoolSpec(std::size_t rank) {
   return spec;
 }
 
-/// The serving ladder's -Oz rung (CompileService::OzRung::run) under the
-/// default environment's sandbox switches, without a deadline. Returns the
-/// output, or null with \p fault filled when the rung faulted.
-std::unique_ptr<Module> ozRung(const Module& program, FaultReport* fault) {
-  auto oz = cloneModule(program);
-  for (const auto& f : oz->functions()) f->resetNameCounters();
-  const SandboxOutcome out =
-      runActionSandboxed(oz, ozPassNames(), sandboxConfigFor(EnvConfig{}));
-  if (out.ok) return oz;
-  *fault = out.fault;
-  return nullptr;
+/// The serving ladder's -Oz rung (runOzSandboxed) under the default
+/// environment's sandbox switches, without a deadline.
+OzRun ozRung(const Module& program) {
+  return runOzSandboxed(program, sandboxConfigFor(EnvConfig{}));
 }
 
 std::string ozRungText(const Module& program) {
-  FaultReport fault;
-  const std::unique_ptr<Module> oz = ozRung(program, &fault);
-  if (oz == nullptr)
-    return std::string("fault ") + faultKindName(fault.kind) + " " +
-           fault.pass + "\n";
-  return printModule(*oz);
+  const OzRun oz = ozRung(program);
+  if (oz.output == nullptr)
+    return std::string("fault ") + faultKindName(oz.fault.kind) + " " +
+           oz.fault.pass + "\n";
+  return printModule(*oz.output);
 }
 
 template <typename SpecFn>
@@ -187,12 +177,11 @@ void servedDigests(const DoubleDqn& agent,
       continue;
     }
     text = fnv1a(printModule(*r.optimized), text);
-    FaultReport fault;
-    const std::unique_ptr<Module> oz = ozRung(*program, &fault);
-    if (!r.oz_verified || oz == nullptr) continue;
+    const OzRun oz = ozRung(*program);
+    if (!r.oz_verified || oz.output == nullptr) continue;
     size_ratio.push_back(r.size_bytes / r.oz_size_bytes);
     cycle_ratio.push_back(mca.moduleEstimate(*r.optimized).weighted_cycles /
-                          mca.moduleEstimate(*oz).weighted_cycles);
+                          mca.moduleEstimate(*oz.output).weighted_cycles);
   }
   const auto exact = [](double v) {
     char buf[32];

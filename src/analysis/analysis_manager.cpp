@@ -16,17 +16,6 @@
 
 namespace posetrl {
 
-const char* analysisKindName(AnalysisKind kind) {
-  switch (kind) {
-    case AnalysisKind::Dominators: return "dominators";
-    case AnalysisKind::Loops: return "loops";
-    case AnalysisKind::Liveness: return "liveness";
-    case AnalysisKind::ReachingDefs: return "reaching-defs";
-    case AnalysisKind::ValueRanges: return "value-ranges";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Structural type hash, independent of interning addresses (so fingerprints

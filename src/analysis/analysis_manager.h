@@ -53,7 +53,6 @@ enum class AnalysisKind : unsigned {
   ValueRanges,
 };
 constexpr std::size_t kNumAnalysisKinds = 5;
-const char* analysisKindName(AnalysisKind kind);
 
 /// Set of analyses a pass promises to keep valid. The default for every
 /// pass is none() — a pass must opt in to each promise, and the contract

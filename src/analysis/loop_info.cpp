@@ -47,19 +47,6 @@ BasicBlock* Loop::preheader() const {
   return cand;
 }
 
-std::vector<BasicBlock*> Loop::exitingBlocks() const {
-  std::vector<BasicBlock*> out;
-  for (BasicBlock* b : blocks_) {
-    for (BasicBlock* s : b->successors()) {
-      if (!contains(s)) {
-        out.push_back(b);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<BasicBlock*> Loop::exitBlocks() const {
   std::vector<BasicBlock*> out;
   for (BasicBlock* b : blocks_) {
@@ -134,11 +121,7 @@ LoopInfo::LoopInfo(Function& f, const DominatorTree& dt) {
       }
     }
     a->parent_ = best;
-    if (best != nullptr) {
-      best->sub_loops_.push_back(a.get());
-    } else {
-      top_level_.push_back(a.get());
-    }
+    if (best != nullptr) best->sub_loops_.push_back(a.get());
   }
 
   // Innermost loop per block: smallest containing loop.

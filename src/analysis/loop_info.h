@@ -39,8 +39,6 @@ class Loop {
   BasicBlock* preheader() const;
   /// All out-of-loop predecessor blocks of the header.
   std::vector<BasicBlock*> outsidePredecessors() const;
-  /// In-loop blocks with a successor outside the loop.
-  std::vector<BasicBlock*> exitingBlocks() const;
   /// Out-of-loop successor blocks of in-loop blocks.
   std::vector<BasicBlock*> exitBlocks() const;
   /// True when every exit block's predecessors are all inside the loop
@@ -68,15 +66,12 @@ class LoopInfo {
   Loop* loopFor(BasicBlock* b) const;
   unsigned loopDepth(BasicBlock* b) const;
 
-  /// Outermost loops (no parent).
-  const std::vector<Loop*>& topLevelLoops() const { return top_level_; }
   /// Every loop, innermost-first (so transforms can work inside-out).
   std::vector<Loop*> loopsInnermostFirst() const;
   std::size_t loopCount() const { return loops_.size(); }
 
  private:
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::vector<Loop*> top_level_;
   std::map<BasicBlock*, Loop*> innermost_;
 };
 

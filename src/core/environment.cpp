@@ -26,9 +26,7 @@ PhaseOrderEnv::PhaseOrderEnv(const Module& program,
   pristine_snapshot_.capture(*working_);
   pristine_stamp_ = working_->contentStamp();
   base_size_ = size_model_.objectBytes(*working_);
-  const ThroughputEstimate est = mca_model_.moduleEstimate(*working_);
-  base_cycles_ = est.weighted_cycles;
-  base_throughput_ = est.throughput();
+  base_cycles_ = mca_model_.moduleEstimate(*working_).weighted_cycles;
   POSETRL_CHECK(base_size_ > 0.0, "program has zero base size");
   pristine_embed_key_ = EmbedCache::moduleHash(*working_);
   embed_key_stamp_ = pristine_stamp_;
@@ -53,7 +51,6 @@ Embedding PhaseOrderEnv::reset() {
   started_ = true;
   last_size_ = base_size_;
   last_cycles_ = base_cycles_;
-  last_throughput_ = base_throughput_;
   metrics_stamp_ = working_->contentStamp();
   steps_in_episode_ = 0;
   return embedWorking();
@@ -168,12 +165,9 @@ PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
   // so its size/cycle deltas are exactly zero — skip both model walks.
   double size = last_size_;
   double cycles = last_cycles_;
-  double throughput = last_throughput_;
   if (working_->contentStamp() != metrics_stamp_) {
     size = size_model_.objectBytes(*working_);
-    const ThroughputEstimate est = mca_model_.moduleEstimate(*working_);
-    cycles = est.weighted_cycles;
-    throughput = est.throughput();
+    cycles = mca_model_.moduleEstimate(*working_).weighted_cycles;
     metrics_stamp_ = working_->contentStamp();
   }
 
@@ -190,7 +184,6 @@ PhaseOrderEnv::StepResult PhaseOrderEnv::step(std::size_t index) {
 
   last_size_ = size;
   last_cycles_ = cycles;
-  last_throughput_ = throughput;
   ++steps_in_episode_;
 
   StepResult result;
@@ -208,7 +201,6 @@ bool PhaseOrderEnv::knownNoop(std::size_t index) const {
 }
 
 double PhaseOrderEnv::currentSize() const { return last_size_; }
-double PhaseOrderEnv::currentThroughput() const { return last_throughput_; }
 
 Module& PhaseOrderEnv::workingModule() {
   POSETRL_CHECK(started_, "workingModule() before reset()");

@@ -152,13 +152,11 @@ class PhaseOrderEnv {
 
   // --- metrics of the working module ---
   double currentSize() const;
-  double currentThroughput() const;
   /// McaModel frequency-weighted cycles of the working module.
   double currentCycles() const { return last_cycles_; }
   /// Metrics of the unoptimized program (reward denominators, Eqns 2–3).
   double baseSize() const { return base_size_; }
   double baseCycles() const { return base_cycles_; }
-  double baseThroughput() const { return base_throughput_; }
   /// The working module (e.g. to measure or print after a rollout).
   Module& workingModule();
   /// Read-only view of the working module. Unlike workingModule() it does
@@ -184,11 +182,11 @@ class PhaseOrderEnv {
     return embed_cache_.stats();
   }
 
-  /// The environment's persistent analysis cache: installed as the ambient
-  /// manager around every sandboxed action, so the fast verifier, the
-  /// contract checker, analysis-using passes and the static-feature
-  /// extractor all share one set of per-function results across steps.
-  AnalysisManager& analysisManager() { return analysis_; }
+  /// Counters of the environment's persistent analysis cache: installed as
+  /// the ambient manager around every sandboxed action, so the fast
+  /// verifier, the contract checker, analysis-using passes and the
+  /// static-feature extractor all share one set of per-function results
+  /// across steps.
   const AnalysisCacheStats& analysisStats() const { return analysis_.stats(); }
 
  private:
@@ -222,9 +220,9 @@ class PhaseOrderEnv {
   /// lookups skip even the hash walk. Starts at the pristine key.
   std::uint64_t embed_key_stamp_ = 0;
   std::uint64_t embed_key_ = 0;
-  /// Content stamp last_size_/last_cycles_/last_throughput_ were computed
-  /// at: a step whose action left the stamp unchanged (contract-verified
-  /// no-op) skips both reward-model walks — its true delta is zero.
+  /// Content stamp last_size_/last_cycles_ were computed at: a step whose
+  /// action left the stamp unchanged (contract-verified no-op) skips both
+  /// reward-model walks — its true delta is zero.
   std::uint64_t metrics_stamp_ = 0;
   /// Pristine-state memos: every reset() restores the identical content, so
   /// its embedding key is computed once at construction (its reward-model
@@ -247,10 +245,8 @@ class PhaseOrderEnv {
   std::size_t faults_ = 0;
   double base_size_ = 0.0;
   double base_cycles_ = 0.0;
-  double base_throughput_ = 0.0;
   double last_size_ = 0.0;
   double last_cycles_ = 0.0;
-  double last_throughput_ = 0.0;
   int steps_in_episode_ = 0;
 };
 

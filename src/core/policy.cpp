@@ -1,6 +1,9 @@
 #include "core/policy.h"
 
+#include "core/oz_sequence.h"
+#include "faults/sandbox.h"
 #include "ir/clone.h"
+#include "ir/function.h"
 #include "ir/module.h"
 #include "passes/pass.h"
 
@@ -53,6 +56,16 @@ std::unique_ptr<Module> applyPipeline(
   std::unique_ptr<Module> m = cloneModule(program);
   runPassSequence(*m, passes);
   return m;
+}
+
+OzRun runOzSandboxed(const Module& program, const SandboxConfig& sandbox) {
+  std::unique_ptr<Module> oz = cloneModule(program);
+  for (const auto& f : oz->functions()) f->resetNameCounters();
+  const SandboxOutcome out = runActionSandboxed(oz, ozPassNames(), sandbox);
+  OzRun run;
+  if (out.ok) run.output = std::move(oz);
+  run.fault = out.fault;
+  return run;
 }
 
 }  // namespace posetrl

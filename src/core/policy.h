@@ -50,4 +50,18 @@ PolicyRollout applyPolicy(const DoubleDqn& agent, const Module& program,
 std::unique_ptr<Module> applyPipeline(const Module& program,
                                       const std::vector<std::string>& passes);
 
+/// Outcome of one sandboxed stock -Oz run.
+struct OzRun {
+  std::unique_ptr<Module> output;  ///< Null unless the run completed.
+  FaultReport fault;               ///< Why not, when `output` is null.
+};
+
+/// Runs the stock -Oz pipeline (ozPassNames()) on a clone of \p program
+/// under \p sandbox. The clone's naming counters are first re-derived from
+/// its names, as the parser does, so the output, fresh names included,
+/// depends on the printed input alone (the serving ladder's -Oz memo
+/// compares printed inputs). The serving ladder's -Oz rung, the canary's
+/// -Oz floor and the identity digests all run -Oz through this.
+OzRun runOzSandboxed(const Module& program, const SandboxConfig& sandbox);
+
 }  // namespace posetrl

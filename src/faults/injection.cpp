@@ -108,13 +108,6 @@ class MiscompilePass : public Pass {
 
 }  // namespace
 
-const std::vector<const char*>& faultInjectionPassNames() {
-  static const std::vector<const char*> names = {
-      "fault-throw", "fault-check", "fault-bloat", "fault-hang",
-      "fault-miscompile"};
-  return names;
-}
-
 void registerFaultInjectionPasses() {
   registerPass("fault-throw", [] { return std::make_unique<ThrowPass>(); });
   registerPass("fault-check",

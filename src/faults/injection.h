@@ -14,12 +14,9 @@
 ///   fault-miscompile  verifier-clean behaviour change (oracle fodder),
 ///                     reusing PR 1's injected-breaker technique
 
-#include <vector>
-
 namespace posetrl {
 
-/// Registers all injection passes (idempotent). Returns their names.
-const std::vector<const char*>& faultInjectionPassNames();
+/// Registers all injection passes (idempotent).
 void registerFaultInjectionPasses();
 
 }  // namespace posetrl

@@ -68,7 +68,6 @@ class Function : public Value {
     return (attrs_ & static_cast<std::uint32_t>(a)) != 0;
   }
   void addAttr(FnAttr a) { attrs_ |= static_cast<std::uint32_t>(a); }
-  void removeAttr(FnAttr a) { attrs_ &= ~static_cast<std::uint32_t>(a); }
   std::uint32_t rawAttrs() const { return attrs_; }
   void setRawAttrs(std::uint32_t attrs) { attrs_ = attrs; }
 

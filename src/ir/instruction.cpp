@@ -392,13 +392,6 @@ GepInst::GepInst(Type* result_ptr, Type* source_elem, Value* base,
   }
 }
 
-bool GepInst::hasAllConstantIndices() const {
-  for (std::size_t i = 0; i < numIndices(); ++i) {
-    if (!isa<ConstantInt>(index(i))) return false;
-  }
-  return true;
-}
-
 BasicBlock* PhiInst::incomingBlock(std::size_t i) const {
   return cast<BasicBlock>(operand(2 * i + 1));
 }

@@ -288,9 +288,6 @@ class GepInst : public Instruction {
   std::size_t numIndices() const { return numOperands() - 1; }
   Value* index(std::size_t i) const { return operand(i + 1); }
 
-  /// True when every index is a ConstantInt.
-  bool hasAllConstantIndices() const;
-
   static bool classof(const Value* v) {
     auto* i = dynCast<Instruction>(v);
     return i && i->opcode() == Opcode::Gep;
@@ -339,7 +336,6 @@ class CallInst : public Instruction {
   Function* calledFunction() const;
   std::size_t numArgs() const { return numOperands() - 1; }
   Value* arg(std::size_t i) const { return operand(i + 1); }
-  void setArg(std::size_t i, Value* v) { setOperand(i + 1, v); }
   /// Removes argument \p i (used by dead-argument elimination).
   void removeArg(std::size_t i) { removeOperandAt(i + 1); }
 

@@ -102,11 +102,6 @@ class PassInstrumentation {
   /// scope-installed one when a pipeline owner (e.g. PhaseOrderEnv)
   /// provides it, else a private fallback.
   AnalysisManager& manager() { return AnalysisManager::currentOr(local_am_); }
-  const FastVerifier& fastVerifier() const {
-    return options_.shared_fast_verifier != nullptr
-               ? *options_.shared_fast_verifier
-               : fast_verifier_;
-  }
 
  private:
   FastVerifier& activeFastVerifier() {

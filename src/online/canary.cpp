@@ -4,8 +4,7 @@
 #include <chrono>
 #include <sstream>
 
-#include "faults/sandbox.h"
-#include "ir/clone.h"
+#include "core/policy.h"
 #include "ir/module.h"
 #include "rl/dqn.h"
 #include "target/mca_model.h"
@@ -55,12 +54,10 @@ struct OzMetrics {
 /// serving ladder's rung.
 OzMetrics sandboxedOz(const Module& program, const EnvConfig& env,
                       const SizeModel& size_model, const McaModel& mca_model) {
-  std::unique_ptr<Module> oz = cloneModule(program);
-  const SandboxOutcome out =
-      runActionSandboxed(oz, ozPassNames(), sandboxConfigFor(env));
-  if (!out.ok) return {};
-  return {size_model.objectBytes(*oz),
-          mca_model.moduleEstimate(*oz).weighted_cycles};
+  const OzRun oz = runOzSandboxed(program, sandboxConfigFor(env));
+  if (oz.output == nullptr) return {};
+  return {size_model.objectBytes(*oz.output),
+          mca_model.moduleEstimate(*oz.output).weighted_cycles};
 }
 
 }  // namespace

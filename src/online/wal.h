@@ -120,7 +120,6 @@ class TrajectoryWal {
     double append_us = 0.0;
   };
   const Stats& stats() const { return stats_; }
-  std::size_t currentSegmentIndex() const { return segment_index_; }
 
  private:
   void openSegment(std::size_t index);

@@ -29,11 +29,6 @@ bool PromotionWatchdog::armed() const {
   return armed_;
 }
 
-std::uint64_t PromotionWatchdog::armedVersion() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return armed_version_;
-}
-
 PromotionWatchdog::Verdict PromotionWatchdog::observe(
     const ServeObservation& obs) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -43,15 +38,16 @@ PromotionWatchdog::Verdict PromotionWatchdog::observe(
   ++stats_.observed;
   if (window_.size() < config_.min_observations) return Verdict::None;
 
-  std::size_t degraded = 0, faults = 0, oz_violations = 0;
+  std::size_t degraded = 0, faults = 0;
+  bool oz_violation = false;
   for (const ServeObservation& o : window_) {
     degraded += o.degraded ? 1 : 0;
     faults += o.faults;
-    oz_violations += o.oz_violation ? 1 : 0;
+    oz_violation = oz_violation || o.oz_violation;
   }
   const double n = static_cast<double>(window_.size());
   const bool breach =
-      oz_violations > config_.max_oz_violations ||
+      oz_violation ||
       static_cast<double>(degraded) / n > config_.max_degraded_fraction ||
       static_cast<double>(faults) / n > config_.max_fault_rate;
   if (breach) {

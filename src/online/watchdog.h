@@ -49,9 +49,6 @@ struct WatchdogConfig {
   double max_degraded_fraction = 0.5;
   /// Breach when mean contained faults per request exceeds this.
   double max_fault_rate = 3.0;
-  /// Breach when the window holds more than this many oz violations
-  /// (default 0: one violation is one too many).
-  std::size_t max_oz_violations = 0;
 };
 
 class PromotionWatchdog {
@@ -64,7 +61,6 @@ class PromotionWatchdog {
   void arm(std::uint64_t version);
   void disarm();
   bool armed() const;
-  std::uint64_t armedVersion() const;
 
   /// Feeds one served request. Returns a verdict for the armed version
   /// (None while unarmed, for other versions, or while the window is too

@@ -134,7 +134,6 @@ class DoubleDqn {
   double epsilon() const;
   std::size_t stepsTaken() const { return steps_; }
   std::size_t trainingUpdates() const { return updates_; }
-  double lastLoss() const { return last_loss_; }
 
   void saveModel(std::ostream& os) const;
   void loadModel(std::istream& is);

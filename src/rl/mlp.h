@@ -21,7 +21,6 @@ class Mlp {
   /// \p sizes = {input, hidden..., output}.
   Mlp(const std::vector<std::size_t>& sizes, Rng& rng);
 
-  std::size_t inputSize() const { return sizes_.front(); }
   std::size_t outputSize() const { return sizes_.back(); }
 
   /// Forward pass. Pure const (no scratch buffers on the object), so

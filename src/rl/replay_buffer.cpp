@@ -100,8 +100,7 @@ void ReplayBuffer::load(std::istream& is) {
 }
 
 ShardedReplayBuffer::ShardedReplayBuffer(std::size_t num_shards,
-                                         std::size_t shard_capacity)
-    : shard_capacity_(shard_capacity) {
+                                         std::size_t shard_capacity) {
   POSETRL_CHECK(num_shards > 0, "sharded replay needs at least one shard");
   POSETRL_CHECK(shard_capacity > 0, "shard capacity must be positive");
   shards_.reserve(num_shards);

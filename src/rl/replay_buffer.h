@@ -81,7 +81,6 @@ class ShardedReplayBuffer {
   ShardedReplayBuffer(std::size_t num_shards, std::size_t shard_capacity);
 
   std::size_t numShards() const { return shards_.size(); }
-  std::size_t shardCapacity() const { return shard_capacity_; }
   std::size_t shardSize(std::size_t shard) const;
   /// Total transitions held, summed across shards.
   std::size_t size() const;
@@ -105,7 +104,6 @@ class ShardedReplayBuffer {
     explicit Shard(std::size_t capacity) : buf(capacity) {}
   };
 
-  std::size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -4,15 +4,6 @@
 
 namespace posetrl {
 
-const char* breakerStateName(BreakerState s) {
-  switch (s) {
-    case BreakerState::Closed: return "closed";
-    case BreakerState::Open: return "open";
-    case BreakerState::HalfOpen: return "half-open";
-  }
-  POSETRL_UNREACHABLE("unknown BreakerState");
-}
-
 CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config)
     : config_(config) {}
 

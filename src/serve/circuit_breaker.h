@@ -31,8 +31,6 @@ struct CircuitBreakerConfig {
 
 enum class BreakerState { Closed, Open, HalfOpen };
 
-const char* breakerStateName(BreakerState s);
-
 /// Breaker for one action. Not thread-safe; see BreakerBank.
 class CircuitBreaker {
  public:
@@ -66,7 +64,6 @@ class CircuitBreaker {
   /// cooldown pending, or half-open with the probe slot taken).
   bool blocked(TimePoint now);
 
-  std::size_t consecutiveFailures() const { return consecutive_failures_; }
   std::size_t trips() const { return trips_; }
 
  private:

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "faults/sandbox.h"
+#include "core/policy.h"
 #include "ir/clone.h"
 #include "ir/module.h"
 #include "ir/parser.h"
@@ -39,9 +39,19 @@ namespace {
 /// time under full load.
 constexpr std::chrono::milliseconds kReapInterval{5};
 
+/// Retry backoff is jittered by up to this fraction either way, so requests
+/// that faulted together do not retry in lockstep.
+constexpr double kBackoffJitter = 0.5;
+
 double millisSince(Deadline::TimePoint t0) {
   return std::chrono::duration<double, std::milli>(Deadline::Clock::now() - t0)
       .count();
+}
+
+void countFault(ServeResult& r, const FaultReport& fault) {
+  ++r.faults;
+  ++r.faults_by_kind[faultKindName(fault.kind)];
+  if (fault.kind == FaultKind::DeadlineExpired) r.deadline_expired = true;
 }
 
 }  // namespace
@@ -55,10 +65,6 @@ CompileService::CompileService(const DoubleDqn& agent,
       breakers_(actions_.size(), config.breaker) {
   POSETRL_CHECK(!actions_.empty(), "service needs a non-empty action space");
   POSETRL_CHECK(config_.workers > 0, "service needs at least one worker");
-  for (std::size_t i = 0; i < config_.workers; ++i) {
-    RungThread& t = *rung_threads_.emplace_back(std::make_unique<RungThread>());
-    t.thread = std::thread([this, &t] { rungLoop(t); });
-  }
   if (config_.start_workers) start();
 }
 
@@ -90,18 +96,6 @@ void CompileService::shutdown() {
     if (t.joinable()) t.join();
   }
   if (reaper.joinable()) reaper.join();
-  // After the workers, whose rungs may still run; later rungs run inline.
-  std::vector<std::unique_ptr<RungThread>> rungs;
-  {
-    std::lock_guard<std::mutex> lock(rung_mu_);
-    rung_stop_ = true;
-    rung_idle_.clear();
-    rungs.swap(rung_threads_);
-  }
-  for (const auto& t : rungs) {
-    t->wake.notify_one();
-    t->thread.join();
-  }
   std::deque<Request> leftover;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -175,7 +169,11 @@ ServeResult CompileService::compile(const Module& program, Deadline deadline) {
     ++stats_.submitted;
   }
   Rng rng = Rng::forStream(config_.seed, stream);
-  ServeResult r = process(program, deadline, id, rng);
+  ServeResult r;
+  {
+    std::lock_guard<std::mutex> lock(compile_mu_);
+    r = process(program, deadline, id, rng, compile_pool_);
+  }
   recordResult(r);
   return r;
 }
@@ -183,6 +181,10 @@ ServeResult CompileService::compile(const Module& program, Deadline deadline) {
 void CompileService::workerLoop(std::size_t worker_index) {
   // Private jitter stream per worker: deterministic, no sharing, no locks.
   Rng rng = Rng::forStream(config_.seed, worker_index);
+  // Persistent for the worker's lifetime: a thread started per request
+  // would start on the worker's own CPU (DESIGN.md, "The degradation
+  // ladder").
+  WorkerPool rung_pool(2);
   for (;;) {
     Request req;
     {
@@ -193,7 +195,8 @@ void CompileService::workerLoop(std::size_t worker_index) {
       req = std::move(queue_.front());
       queue_.pop_front();
     }
-    ServeResult r = process(*req.program, req.deadline, req.id, rng);
+    ServeResult r =
+        process(*req.program, req.deadline, req.id, rng, rung_pool);
     const double processing_ms = r.latency_ms;
     r.latency_ms = millisSince(req.submitted_at);
     r.queue_ms = std::max(0.0, r.latency_ms - processing_ms);
@@ -233,66 +236,6 @@ void CompileService::reaperLoop() {
   }
 }
 
-void CompileService::rungLoop(RungThread& self) {
-  // Persistent: a thread per request would start on the poster's own CPU.
-  std::unique_lock<std::mutex> lock(rung_mu_);
-  for (;;) {
-    while (!rung_queue_.empty()) {
-      OzRung& rung = *rung_queue_.front();
-      rung_queue_.pop_front();
-      rung.state = OzRung::State::Running;
-      lock.unlock();
-      rung.run();
-      lock.lock();
-      rung.state = OzRung::State::Done;
-      rung.done.notify_one();
-    }
-    if (rung_stop_) return;
-    // LIFO, so a lone caller keeps reusing one thread and malloc arena.
-    self.woken = false;
-    rung_idle_.push_back(&self);
-    self.wake.wait(lock, [&] { return self.woken || rung_stop_; });
-  }
-}
-
-void CompileService::postRung(OzRung& rung) {
-  std::lock_guard<std::mutex> lock(rung_mu_);
-  rung.state = OzRung::State::Queued;
-  rung_queue_.push_back(&rung);
-  if (rung_idle_.empty()) return;  // a busy thread drains the queue next
-  RungThread* t = rung_idle_.back();
-  rung_idle_.pop_back();
-  t->woken = true;
-  t->wake.notify_one();
-}
-
-void CompileService::joinRung(OzRung& rung, bool run_here) {
-  {
-    std::unique_lock<std::mutex> lock(rung_mu_);
-    if (rung.state == OzRung::State::Queued) {
-      // Never wait on a queued job: the caller runs it no slower here.
-      rung_queue_.erase(
-          std::find(rung_queue_.begin(), rung_queue_.end(), &rung));
-      rung.state = OzRung::State::Idle;
-    }
-    rung.done.wait(lock,
-                   [&] { return rung.state != OzRung::State::Running; });
-    if (!run_here) return;
-  }
-  if (rung.state == OzRung::State::Idle) rung.run();
-}
-
-void CompileService::OzRung::run() {
-  auto oz = cloneModule(program);
-  // Re-derive the naming counters from the names, as the parser does: the
-  // output, fresh names included, then depends on the printed input alone,
-  // which is what the memo compares.
-  for (const auto& f : oz->functions()) f->resetNameCounters();
-  const SandboxOutcome out = runActionSandboxed(oz, ozPassNames(), sandbox);
-  if (out.ok) output = std::move(oz);
-  fault = out.fault;
-}
-
 ServeResult CompileService::expireRequest(const Module& program,
                                           std::uint64_t id,
                                           const char* where) {
@@ -308,8 +251,158 @@ ServeResult CompileService::expireRequest(const Module& program,
   return r;
 }
 
+std::unique_ptr<Module> CompileService::rollout(
+    PhaseOrderEnv& env, const Mlp& policy, Deadline rollout_deadline,
+    Rng& rng, ServeResult& r, std::vector<Transition>& episode,
+    double* size) {
+  Embedding state = env.reset();
+
+  // Best-prefix-so-far tracking; the empty prefix (input as-is) is the
+  // starting point, so a rollout that never improves degrades cleanly. An
+  // improvement only captures a flat snapshot; the one clone happens if the
+  // prefix is actually returned.
+  double best_size = env.currentSize();
+  ModuleSnapshot best_snapshot;
+  std::vector<std::size_t> best_actions;
+  std::vector<std::size_t> taken;
+
+  std::vector<bool> exhausted(actions_.size(), false);  // retries spent
+  bool done = false;
+  bool rollout_cut = false;  // stopped before the episode finished
+  std::size_t acquire_races = 0;
+
+  while (!done) {
+    if (rollout_deadline.expired()) {
+      r.deadline_expired = true;
+      rollout_cut = true;
+      if (r.degraded_reason.empty()) r.degraded_reason = "deadline expired mid-rollout";
+      break;
+    }
+
+    // Selection mask: per-program quarantine + service-wide breakers +
+    // actions that already exhausted their retries in this request.
+    std::vector<bool> mask = breakers_.blockedMask();
+    const std::vector<bool>& qmask = env.actionMask();
+    std::size_t available = 0;
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      mask[i] = mask[i] || qmask[i] || exhausted[i];
+      if (!mask[i]) ++available;
+    }
+    if (available == 0) {
+      rollout_cut = true;
+      if (r.degraded_reason.empty()) {
+        r.degraded_reason = "all actions masked (quarantine/breakers)";
+      }
+      break;
+    }
+
+    inferences_.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t action = maskedArgmax(policy.forward(state), &mask);
+    if (!breakers_.tryAcquire(action)) {
+      // Raced with another worker (breaker opened or probe slot claimed
+      // between mask snapshot and acquire); re-pick with a fresh mask.
+      if (++acquire_races > 4 * actions_.size()) {
+        rollout_cut = true;
+        r.degraded_reason = "breaker contention";
+        break;
+      }
+      continue;
+    }
+    acquire_races = 0;
+
+    // Attempt the action, retrying contained transient faults with
+    // exponential backoff + jitter while time and retry budget remain.
+    std::size_t attempt = 0;
+    PhaseOrderEnv::StepResult sr;
+    for (;;) {
+      sr = env.step(action);
+      ++r.steps_attempted;
+      // Every attempt (faulted ones included — their penalty reward is the
+      // signal that teaches the learner to avoid the action) becomes one
+      // replay transition, mirroring the trainer's episode collection.
+      Transition t;
+      t.state = state;
+      t.action = action;
+      t.reward = sr.reward;
+      t.next_state = sr.state;
+      t.done = sr.done;
+      episode.push_back(std::move(t));
+      if (!sr.faulted) break;
+      countFault(r, sr.fault);
+      if (sr.fault.kind == FaultKind::DeadlineExpired) {
+        // Deadline expiry says nothing about the action's health: hand back
+        // the tryAcquire grant (frees a half-open probe slot) instead of
+        // counting a success or failure. Without this the probe slot leaks
+        // and the action stays masked service-wide forever. The rollout-cut
+        // path below sees the same fault and ends the rollout.
+        breakers_.release(action);
+        break;
+      }
+      breakers_.recordFailure(action);
+      if (sr.done || attempt >= config_.max_retries ||
+          rollout_deadline.expired()) {
+        break;
+      }
+      ++attempt;
+      ++r.retries;
+      const double jitter =
+          1.0 + kBackoffJitter * (2.0 * rng.nextDouble() - 1.0);
+      const double backoff_ms =
+          static_cast<double>(config_.backoff_base.count()) *
+          static_cast<double>(1ull << std::min<std::size_t>(attempt - 1, 20)) *
+          jitter;
+      auto backoff = std::chrono::duration_cast<Deadline::Clock::duration>(
+          std::chrono::duration<double, std::milli>(backoff_ms));
+      backoff = std::min(backoff, rollout_deadline.remaining());
+      if (backoff > Deadline::Clock::duration::zero()) {
+        std::this_thread::sleep_for(backoff);
+      }
+      if (!breakers_.tryAcquire(action)) break;  // tripped while backing off
+    }
+
+    done = sr.done;
+    state = std::move(sr.state);
+    if (sr.faulted) {
+      if (sr.fault.kind == FaultKind::DeadlineExpired) {
+        rollout_cut = true;
+        if (r.degraded_reason.empty()) {
+          r.degraded_reason = "deadline expired mid-rollout";
+        }
+        break;
+      }
+      // Out of retries for this action: stop re-picking it this request.
+      exhausted[action] = true;
+      continue;
+    }
+
+    breakers_.recordSuccess(action);
+    taken.push_back(action);
+    if (env.currentSize() < best_size) {
+      best_size = env.currentSize();
+      best_snapshot.capture(env.currentModule());
+      best_actions = taken;
+    }
+  }
+
+  if (done && !rollout_cut) {
+    r.action_sequence = taken;
+    r.level = ServiceLevel::FullRollout;
+    *size = env.currentSize();
+    return cloneModule(env.currentModule());
+  }
+  if (!best_snapshot.valid()) return nullptr;
+  // The rollout is over, so the working module can be rewound in place.
+  best_snapshot.restoreInto(env.workingModule());
+  r.action_sequence = best_actions;
+  r.level = ServiceLevel::BestPrefix;
+  if (r.degraded_reason.empty()) r.degraded_reason = "rollout cut short";
+  *size = best_size;
+  return cloneModule(env.currentModule());
+}
+
 ServeResult CompileService::process(const Module& program, Deadline deadline,
-                                    std::uint64_t id, Rng& rng) {
+                                    std::uint64_t id, Rng& rng,
+                                    WorkerPool& rung_pool) {
   const auto t0 = Deadline::Clock::now();
   if (deadline.expired(t0)) {
     // Too late for any rung: skip even environment construction.
@@ -348,173 +441,31 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
   PhaseOrderEnv env(program, actions_, env_cfg);
   r.base_size_bytes = env.baseSize();
 
-  // Ladder rung 3, stock -Oz, starts now beside the rollout, sandboxed
-  // within the full deadline, unless the memo has the input. It is posted
-  // before the initial embedding, which the rollout needs and the rung does
-  // not. The key hashes the worker's private copy: hashing the shared input
-  // would stamp it while other threads read it.
+  // Ladder rung 3, stock -Oz, runs beside the rollout as part 1 of a fork
+  // on the rung pool, sandboxed within the full deadline, unless the memo
+  // has the input. The fork comes before the initial embedding, which the
+  // rollout needs and the rung does not; a rung the pool's helper has not
+  // started when the rollout ends runs here. The key hashes the worker's
+  // private copy: hashing the shared input would stamp it while other
+  // threads read it.
   const std::uint64_t key = env.programHash();
   SandboxConfig oz_sandbox = sandboxConfigFor(env_cfg);
   oz_sandbox.deadline = deadline;
-  OzRung rung(*this, program, oz_sandbox);
   bool want_oz = config_.verify_against_oz && !deadline.expired();
   OzMemo::Probe probe;
-  if (want_oz) {
-    probe = oz_memo_.lookup(key, program);
-    if (probe.hit == nullptr) postRung(rung);
-  }
-  Embedding state = env.reset();
-
-  // Best-prefix-so-far tracking; the empty prefix (input as-is) is the
-  // starting point, so a rollout that never improves degrades cleanly. An
-  // improvement only captures a flat snapshot; the one clone happens if the
-  // prefix is actually returned.
-  double best_size = env.currentSize();
-  ModuleSnapshot best_snapshot;
-  std::vector<std::size_t> best_actions;
-  std::vector<std::size_t> taken;
-
-  std::vector<bool> exhausted(actions_.size(), false);  // retries spent
-  bool done = false;
-  bool rollout_cut = false;  // stopped before the episode finished
-  std::size_t acquire_races = 0;
-
-  const auto onFault = [&](const FaultReport& fault) {
-    ++r.faults;
-    ++r.faults_by_kind[faultKindName(fault.kind)];
-    if (fault.kind == FaultKind::DeadlineExpired) r.deadline_expired = true;
-  };
-
-  while (!done) {
-    if (rollout_deadline.expired()) {
-      r.deadline_expired = true;
-      rollout_cut = true;
-      if (r.degraded_reason.empty()) r.degraded_reason = "deadline expired mid-rollout";
-      break;
-    }
-
-    // Selection mask: per-program quarantine + service-wide breakers +
-    // actions that already exhausted their retries in this request.
-    std::vector<bool> mask = breakers_.blockedMask();
-    const std::vector<bool>& qmask = env.actionMask();
-    std::size_t available = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      mask[i] = mask[i] || qmask[i] || exhausted[i];
-      if (!mask[i]) ++available;
-    }
-    if (available == 0) {
-      rollout_cut = true;
-      if (r.degraded_reason.empty()) {
-        r.degraded_reason = "all actions masked (quarantine/breakers)";
-      }
-      break;
-    }
-
-    inferences_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t action = maskedArgmax(policy->forward(state), &mask);
-    if (!breakers_.tryAcquire(action)) {
-      // Raced with another worker (breaker opened or probe slot claimed
-      // between mask snapshot and acquire); re-pick with a fresh mask.
-      if (++acquire_races > 4 * actions_.size()) {
-        rollout_cut = true;
-        r.degraded_reason = "breaker contention";
-        break;
-      }
-      continue;
-    }
-    acquire_races = 0;
-
-    // Attempt the action, retrying contained transient faults with
-    // exponential backoff + jitter while time and retry budget remain.
-    std::size_t attempt = 0;
-    PhaseOrderEnv::StepResult sr;
-    for (;;) {
-      sr = env.step(action);
-      ++r.steps_attempted;
-      // Every attempt (faulted ones included — their penalty reward is the
-      // signal that teaches the learner to avoid the action) becomes one
-      // replay transition, mirroring the trainer's episode collection.
-      Transition t;
-      t.state = state;
-      t.action = action;
-      t.reward = sr.reward;
-      t.next_state = sr.state;
-      t.done = sr.done;
-      episode.push_back(std::move(t));
-      if (!sr.faulted) break;
-      onFault(sr.fault);
-      if (sr.fault.kind == FaultKind::DeadlineExpired) {
-        // Deadline expiry says nothing about the action's health: hand back
-        // the tryAcquire grant (frees a half-open probe slot) instead of
-        // counting a success or failure. Without this the probe slot leaks
-        // and the action stays masked service-wide forever. The rollout-cut
-        // path below sees the same fault and ends the rollout.
-        breakers_.release(action);
-        break;
-      }
-      breakers_.recordFailure(action);
-      if (sr.done || attempt >= config_.max_retries ||
-          rollout_deadline.expired()) {
-        break;
-      }
-      ++attempt;
-      ++r.retries;
-      const double jitter =
-          1.0 + config_.backoff_jitter * (2.0 * rng.nextDouble() - 1.0);
-      const double backoff_ms =
-          static_cast<double>(config_.backoff_base.count()) *
-          static_cast<double>(1ull << std::min<std::size_t>(attempt - 1, 20)) *
-          jitter;
-      auto backoff = std::chrono::duration_cast<Deadline::Clock::duration>(
-          std::chrono::duration<double, std::milli>(backoff_ms));
-      backoff = std::min(backoff, rollout_deadline.remaining());
-      if (backoff > Deadline::Clock::duration::zero()) {
-        std::this_thread::sleep_for(backoff);
-      }
-      if (!breakers_.tryAcquire(action)) break;  // tripped while backing off
-    }
-
-    done = sr.done;
-    state = std::move(sr.state);
-    if (sr.faulted) {
-      if (sr.fault.kind == FaultKind::DeadlineExpired) {
-        rollout_cut = true;
-        if (r.degraded_reason.empty()) {
-          r.degraded_reason = "deadline expired mid-rollout";
-        }
-        break;
-      }
-      // Out of retries for this action: stop re-picking it this request.
-      exhausted[action] = true;
-      continue;
-    }
-
-    breakers_.recordSuccess(action);
-    taken.push_back(action);
-    if (env.currentSize() < best_size) {
-      best_size = env.currentSize();
-      best_snapshot.capture(env.currentModule());
-      best_actions = taken;
-    }
-  }
-
-  // Ladder rungs 1 & 2: the rollout's output.
+  if (want_oz) probe = oz_memo_.lookup(key, program);
+  const bool rung_missed = want_oz && probe.hit == nullptr;
+  OzRun rung;
   std::unique_ptr<Module> candidate;
   double candidate_size = 0.0;
-  if (done && !rollout_cut) {
-    candidate = cloneModule(env.currentModule());
-    candidate_size = env.currentSize();
-    r.action_sequence = taken;
-    r.level = ServiceLevel::FullRollout;
-  } else if (best_snapshot.valid()) {
-    // The rollout is over, so the working module can be rewound in place.
-    best_snapshot.restoreInto(env.workingModule());
-    candidate = cloneModule(env.currentModule());
-    candidate_size = best_size;
-    r.action_sequence = best_actions;
-    r.level = ServiceLevel::BestPrefix;
-    if (r.degraded_reason.empty()) r.degraded_reason = "rollout cut short";
-  }
+  rung_pool.run(rung_missed ? 2 : 1, [&](std::size_t part) {
+    if (part == 1) {
+      rung = runOzSandboxed(program, oz_sandbox);
+    } else {
+      candidate = rollout(env, *policy, rollout_deadline, rng, r, episode,
+                          &candidate_size);
+    }
+  });
 
   // Ladder rung 3 ends here (verify-off: runs here, for want of a candidate).
   // A memo hit's stored output is parsed only when it beats the rollout.
@@ -522,27 +473,25 @@ ServeResult CompileService::process(const Module& program, Deadline deadline,
       !deadline.expired()) {
     want_oz = true;
     probe = oz_memo_.lookup(key, program);
+    if (probe.hit == nullptr) rung = runOzSandboxed(program, oz_sandbox);
   }
   if (want_oz) {
     std::unique_ptr<Module> oz;
     if (probe.hit != nullptr) {
       r.oz_verified = true;
       r.oz_size_bytes = probe.hit->size_bytes;
+    } else if (rung.output != nullptr) {
+      oz = std::move(rung.output);
+      r.oz_verified = true;
+      r.oz_size_bytes = size_model.objectBytes(*oz);
+      if (probe.admissible) {
+        oz_memo_.admit(key, program, *oz, r.oz_size_bytes, size_model);
+      }
     } else {
-      joinRung(rung, /*run_here=*/true);
-      if (rung.output != nullptr) {
-        oz = std::move(rung.output);
-        r.oz_verified = true;
-        r.oz_size_bytes = size_model.objectBytes(*oz);
-        if (probe.admissible) {
-          oz_memo_.admit(key, program, *oz, r.oz_size_bytes, size_model);
-        }
-      } else {
-        onFault(rung.fault);
-        if (candidate == nullptr && r.degraded_reason.empty()) {
-          r.degraded_reason = std::string("-Oz rung faulted: ") +
-                              faultKindName(rung.fault.kind);
-        }
+      countFault(r, rung.fault);
+      if (candidate == nullptr && r.degraded_reason.empty()) {
+        r.degraded_reason = std::string("-Oz rung faulted: ") +
+                            faultKindName(rung.fault.kind);
       }
     }
     if (r.oz_verified &&

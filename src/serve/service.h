@@ -15,7 +15,7 @@
 ///  - admission control: a full queue load-sheds immediately (structured
 ///    ServeStatus::Rejected) instead of blocking the caller;
 ///  - transient contained faults are retried with exponential backoff +
-///    jitter (per-worker RNG, no shared stream);
+///    ±50% jitter (per-worker RNG, no shared stream);
 ///  - repeat offenders trip a per-action circuit breaker shared across all
 ///    requests (closed → open → half-open, serve/circuit_breaker.h), layered
 ///    on top of the environment's per-program quarantine;
@@ -27,11 +27,14 @@
 ///      Identity     — nothing could be done in time; input returned as-is.
 ///    Whenever the -Oz rung completes (`oz_verified`), the response is
 ///    guaranteed no worse than stock -Oz by modeled size. The rung runs
-///    beside the rollout on one of `workers` persistent rung threads (or on
-///    the worker, if none has started it when the rollout ends). It is
-///    memoized per service (serve/oz_memo.h): a repeated input whose printed
-///    text equals a stored one reuses that run's output and size instead of
-///    re-running the pipeline, and only completed runs are ever stored.
+///    beside the rollout as the second part of a fork on a two-wide
+///    WorkerPool (support/parallel.h): each worker owns one for its whole
+///    loop, and compile() callers share one. A rung the pool's helper has
+///    not started when the rollout ends runs on the requesting thread. It
+///    is memoized per service (serve/oz_memo.h): a repeated input whose
+///    printed text equals a stored one reuses that run's output and size
+///    instead of re-running the pipeline, and only completed runs are ever
+///    stored.
 ///
 /// With an OnlineLearner attached (ServeConfig::online), the service also
 /// closes the serve -> train loop: each request pins the current policy
@@ -69,6 +72,7 @@
 #include "serve/circuit_breaker.h"
 #include "serve/oz_memo.h"
 #include "support/deadline.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace posetrl {
@@ -93,10 +97,9 @@ struct ServeConfig {
   std::size_t queue_capacity = 64;
   /// Retries per faulting action within one request (beyond the first try).
   std::size_t max_retries = 2;
-  /// Backoff before retry k is `backoff_base * 2^k`, jittered by
-  /// ±backoff_jitter (fraction), capped by the request deadline.
+  /// Backoff before retry k is `backoff_base * 2^k`, jittered by ±50%,
+  /// capped by the request deadline.
   std::chrono::milliseconds backoff_base{1};
-  double backoff_jitter = 0.5;
   /// Fraction of the request's remaining deadline the rollout leaves for a
   /// -Oz rung run after it (taken back unstarted, or the verify-off
   /// fallback). A rung run beside the rollout has the full deadline.
@@ -205,14 +208,15 @@ class CompileService {
   std::future<ServeResult> submit(const Module& program, Deadline deadline);
 
   /// Synchronous single request on the caller's thread (no queue, no
-  /// admission control) — same ladder, same breakers.
+  /// admission control) — same ladder, same breakers. Its -Oz rung runs on
+  /// the helper of one service-owned rung pool, so concurrent callers take
+  /// turns: each call holds the pool for its whole request.
   ServeResult compile(const Module& program, Deadline deadline);
 
-  /// Spawns the worker pool (no-op when already started). The rung threads
-  /// start in the constructor, so compile() overlaps too.
+  /// Spawns the worker threads (no-op when already started).
   void start();
-  /// Stops workers, then rung threads; queued-but-unprocessed requests
-  /// resolve with ShutDown. Idempotent; also run by the destructor.
+  /// Stops the workers; queued-but-unprocessed requests resolve with
+  /// ShutDown. Idempotent; also run by the destructor.
   void shutdown();
 
   std::size_t queueDepth() const;
@@ -233,38 +237,23 @@ class CompileService {
     Deadline::TimePoint submitted_at;
   };
 
-  /// One -Oz rung run (ladder rung 3) and its outcome. It refers to the
-  /// posting request's frame, so its destructor takes it back or waits for
-  /// it on every exit from that frame, exceptions included.
-  struct OzRung {
-    OzRung(CompileService& s, const Module& p, const SandboxConfig& sc)
-        : service(s), program(p), sandbox(sc) {}
-    CompileService& service;
-    const Module& program;
-    const SandboxConfig sandbox;
-    std::unique_ptr<Module> output;  ///< Null unless the run completed.
-    FaultReport fault;               ///< Why not, when `output` is null.
-    enum class State { Idle, Queued, Running, Done } state = State::Idle;
-    std::condition_variable done;  ///< Running -> Done, under rung_mu_.
-    void run();
-    ~OzRung() { service.joinRung(*this, /*run_here=*/false); }
-  };
-  struct RungThread {
-    std::thread thread;
-    std::condition_variable wake;
-    bool woken = false;  ///< A job was posted for this thread.
-  };
-
   void workerLoop(std::size_t worker_index);
   void reaperLoop();
-  void rungLoop(RungThread& self);
-  /// Queues \p rung and wakes the idle rung thread that finished last.
-  void postRung(OzRung& rung);
-  /// Takes back \p rung if unstarted (and with \p run_here runs it inline),
-  /// else waits for it.
-  void joinRung(OzRung& rung, bool run_here);
+  /// One request down the ladder. Its -Oz rung forks onto \p rung_pool
+  /// (width 2), which the calling thread alone uses for the call.
   ServeResult process(const Module& program, Deadline deadline,
-                      std::uint64_t id, Rng& rng);
+                      std::uint64_t id, Rng& rng, WorkerPool& rung_pool);
+  /// Ladder rungs 1 and 2: rolls \p policy out greedily on \p env (built,
+  /// not yet reset) until the episode ends or \p rollout_deadline expires,
+  /// recording faults, retries and the served actions in \p r and every
+  /// attempted step in \p episode. Returns the full rollout's output, else
+  /// the best prefix's, with its modeled size in \p size; null when no
+  /// prefix shrank the input.
+  std::unique_ptr<Module> rollout(PhaseOrderEnv& env, const Mlp& policy,
+                                  Deadline rollout_deadline, Rng& rng,
+                                  ServeResult& r,
+                                  std::vector<Transition>& episode,
+                                  double* size);
   /// Cheap Identity response for a request whose deadline expired before
   /// any optimization work started.
   ServeResult expireRequest(const Module& program, std::uint64_t id,
@@ -295,11 +284,8 @@ class CompileService {
   std::uint64_t next_id_ = 1;
   std::uint64_t sync_streams_ = 0;  ///< RNG streams handed to compile().
 
-  std::mutex rung_mu_;
-  std::deque<OzRung*> rung_queue_;       ///< Posted, not yet started.
-  std::vector<RungThread*> rung_idle_;   ///< Back finished most recently.
-  std::vector<std::unique_ptr<RungThread>> rung_threads_;
-  bool rung_stop_ = false;
+  std::mutex compile_mu_;
+  WorkerPool compile_pool_{2};  ///< compile()'s rung pool, under compile_mu_.
 
   mutable std::mutex stats_mu_;
   ServiceStats stats_;

@@ -66,7 +66,6 @@ class BumpArena {
   // --- introspection (tests, bench) ---
   std::size_t bytesAllocated() const { return bytes_allocated_; }
   std::size_t bytesRecycled() const { return bytes_recycled_; }
-  std::size_t chunkCount() const { return chunks_.size(); }
 
  private:
   static constexpr std::size_t kAlign = 16;

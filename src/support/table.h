@@ -19,7 +19,6 @@ class TextTable {
   /// Renders the table (header, separator, body) to a string.
   std::string render() const;
 
-  std::size_t rowCount() const { return rows_.size(); }
 
  private:
   std::vector<std::vector<std::string>> rows_;

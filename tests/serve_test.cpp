@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -937,7 +939,8 @@ TEST(CompileServiceStressTest, RepeatedProgramsKeepLadderGuarantees) {
 }
 
 TEST(CompileServiceTest, ConcurrentRungDecidesAsSequentialLadder) {
-  // The -Oz rung runs on a rung thread beside the rollout; the ladder must
+  // The -Oz rung runs on the rung pool's helper beside the rollout; the
+  // ladder must
   // still pick exactly what the serial order would: the rollout's output
   // unless stock -Oz is strictly smaller.
   ServeFixture fx;
@@ -1011,9 +1014,9 @@ TEST(CompileServiceTest, RungCompletesBesideAStalledRollout) {
 }
 
 TEST(CompileServiceTest, SharedInputConcurrentRungs) {
-  // One module object, eight requests in flight on four workers: rung
-  // threads clone it while workers build environments from it, look it up
-  // in the memo and admit it (both print it).
+  // One module object, eight requests in flight on four workers: the
+  // workers' rung-pool helpers clone it while workers build environments
+  // from it, look it up in the memo and admit it (both print it).
   ServeFixture fx;
   ServeConfig cfg = fx.serveConfig();
   cfg.workers = 4;
@@ -1036,6 +1039,81 @@ TEST(CompileServiceTest, SharedInputConcurrentRungs) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.oz_memo_hits + stats.oz_memo_misses, 8u);
+}
+
+std::size_t processThreadCount() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(CompileServiceTest, ShutdownLeavesNoServiceThreads) {
+  // Workers, the reaper, each worker's rung-pool helper and compile()'s
+  // rung-pool helper all end with the service.
+  ServeFixture fx;
+  ServeConfig cfg = fx.serveConfig();
+  cfg.workers = 2;
+  const std::size_t before = processThreadCount();
+  {
+    CompileService service(*fx.agent, fx.actions, cfg);
+    // Two distinct inputs, so both rungs miss the memo and fork a helper.
+    const ServeResult sync = service.compile(*fx.corpus[0], Deadline::never());
+    const ServeResult queued =
+        service.submit(*fx.corpus[1], Deadline::never()).get();
+    EXPECT_TRUE(sync.oz_verified) << sync.degraded_reason;
+    EXPECT_TRUE(queued.oz_verified) << queued.degraded_reason;
+    EXPECT_EQ(service.stats().oz_memo_misses, 2u);
+    EXPECT_GE(processThreadCount(), before + 5)
+        << "2 workers, the reaper and 2 rung-pool helpers";
+  }
+  EXPECT_EQ(processThreadCount(), before);
+}
+
+TEST(CompileServiceTest, ConcurrentCompileCallersGetTheSequentialLadder) {
+  // compile() callers take turns on the service's one rung pool: two
+  // callers at once each get exactly what one caller gets in sequence.
+  ServeFixture fx;
+  ServeConfig cfg = fx.serveConfig();
+  cfg.start_workers = false;
+  std::vector<std::unique_ptr<Module>> programs;
+  for (std::uint64_t seed = 840; seed < 848; ++seed) {
+    ProgramSpec spec;
+    spec.seed = seed;
+    spec.kernels = 2;
+    programs.push_back(generateProgram(spec));
+  }
+  const auto answer = [](const ServeResult& r) {
+    EXPECT_EQ(r.status, ServeStatus::Ok);
+    EXPECT_TRUE(r.oz_verified) << r.degraded_reason;
+    return std::string(serviceLevelName(r.level)) + " " +
+           std::to_string(r.size_bytes) + " " +
+           std::to_string(r.oz_size_bytes) + "\n" +
+           (r.optimized != nullptr ? printModule(*r.optimized) : "");
+  };
+  std::vector<std::string> want;
+  {
+    CompileService sequential(*fx.agent, fx.actions, cfg);
+    for (const auto& program : programs) {
+      want.push_back(answer(sequential.compile(*program, Deadline::never())));
+    }
+  }
+  CompileService service(*fx.agent, fx.actions, cfg);
+  std::vector<std::string> got(programs.size());
+  const auto caller = [&](std::size_t first) {
+    for (std::size_t i = first; i < programs.size(); i += 2) {
+      got[i] = answer(service.compile(*programs[i], Deadline::never()));
+    }
+  };
+  std::thread even(caller, 0), odd(caller, 1);
+  even.join();
+  odd.join();
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "program " << i;
+  }
 }
 
 

@@ -382,8 +382,9 @@ if [[ $TSAN -eq 1 ]]; then
 
   echo "== online learning under ThreadSanitizer =="
   # The full crash + recovery + rollback drill with every thread the online
-  # loop spawns (workers, rung threads, reaper, learner) racing: a clean
-  # TSan run certifies the snapshot hot-swap, WAL ingest, and watchdog paths.
+  # loop spawns (workers, their rung-pool helpers, reaper, learner) racing:
+  # a clean TSan run certifies the snapshot hot-swap, WAL ingest, and
+  # watchdog paths.
   TSAN_ONLINE="$(mktemp -d)"
   set +e
   TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/examples/serve_driver" \
@@ -415,8 +416,10 @@ if [[ $TSAN -eq 1 ]]; then
   # SIMD-mode slot the parallel trainer's actors read concurrently), 4
   # workers sharing the -Oz memo on repeated programs, many threads cloning
   # one module (cloneModule must be a pure read of its source), and the -Oz
-  # rung running on rung threads beside the rollout (job handoff, take-back,
-  # and rung threads cloning an input that workers clone and print), the
+  # rung running on the rung pool's helper beside the rollout (the fork,
+  # take-back by the worker, helpers cloning an input that workers clone and
+  # print, two compile() callers taking turns on one pool, every service
+  # thread joined at shutdown), the
   # learner pool (fork/join handoff, spin-then-park, exceptions, parallel
   # GEMM and Adam at widths 1-7, a fork after a pooled trainAgent) and the
   # parallel trainer's determinism tests (actors as the pool's parts).
@@ -429,11 +432,13 @@ if [[ $TSAN -eq 1 ]]; then
   TSAN_FILTER+=':CompileServiceTest.ConcurrentRungDecidesAsSequentialLadder'
   TSAN_FILTER+=':CompileServiceTest.RungCompletesBesideAStalledRollout'
   TSAN_FILTER+=':CompileServiceTest.SharedInputConcurrentRungs'
+  TSAN_FILTER+=':CompileServiceTest.ShutdownLeavesNoServiceThreads'
+  TSAN_FILTER+=':CompileServiceTest.ConcurrentCompileCallersGetTheSequentialLadder'
   if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/posetrl_tests" \
       --gtest_filter="$TSAN_FILTER" >/dev/null; then
-    echo "ok   tsan swap churn + worker pool + hot swap + simd + learner pool + parallel trainer + oz memo + clone + rung thread tests"
+    echo "ok   tsan swap churn + worker pool + hot swap + simd + learner pool + parallel trainer + oz memo + clone + rung pool tests"
   else
-    echo "FAIL tsan swap churn + worker pool + hot swap + simd + learner pool + parallel trainer + oz memo + clone + rung thread tests"
+    echo "FAIL tsan swap churn + worker pool + hot swap + simd + learner pool + parallel trainer + oz memo + clone + rung pool tests"
     status=1
   fi
 
